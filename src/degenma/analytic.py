@@ -389,12 +389,15 @@ class RegularizerSpec:
 
 
 def eta_eps(spec: RegularizerSpec, x1):
-    """Piecewise regularizer value; C^1 monotone cubic bridge on eps < |x1| < 2 eps.
+    """Piecewise regularizer value; monotone cubic bridge on eps < |x1| < 2 eps.
 
     The bridge is the Hermite interpolant in s = |x1| between (eps, eps^alpha)
-    with slope 0 and (2 eps, (2 eps)^alpha) with slope alpha (2 eps)^(alpha-1);
-    monotone in s for the alpha range used here (the chord-slope ratio stays
-    below the cubic monotonicity threshold for alpha <= ~5.8).
+    with slope 0 and (2 eps, (2 eps)^alpha) with slope alpha (2 eps)^(alpha-1),
+    which makes eta C^1. For alpha above ~5.8 that end slope exceeds 3x the
+    chord slope, where the cubic stops being monotone and turns negative, so
+    it is limited to 3x the chord (Fritsch-Carlson, SIAM J. Numer. Anal. 17,
+    1980): eta stays positive and monotone for every alpha > -1 but is only
+    C^0 at |x1| = 2 eps there.
     """
     al, eps = spec.alpha, spec.eps
     s = np.abs(np.asarray(x1, dtype=float))
@@ -404,7 +407,13 @@ def eta_eps(spec: RegularizerSpec, x1):
     h00 = 2.0 * t**3 - 3.0 * t**2 + 1.0
     h01 = -2.0 * t**3 + 3.0 * t**2
     h11 = t**3 - t**2
-    bridge = h00 * inner + h01 * outer_edge + h11 * eps * al * (2.0 * eps) ** (al - 1.0)
+    # slopes in t-units: eps * d/ds of s^alpha at s = 2 eps, and the chord's
+    chord = outer_edge - inner
+    if abs(eps * al * (2.0 * eps) ** (al - 1.0)) <= 3.0 * abs(chord):
+        end = h11 * eps * al * (2.0 * eps) ** (al - 1.0)
+    else:
+        end = h11 * (3.0 * chord)
+    bridge = h00 * inner + h01 * outer_edge + end
     with np.errstate(divide="ignore"):
         outer = np.where(s > 0, s, 1.0) ** al  # guarded; only used where s >= 2 eps
     val = np.where(s <= eps, inner, np.where(s >= 2.0 * eps, outer, bridge))

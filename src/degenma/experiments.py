@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +77,15 @@ class ExperimentConfig:
             b <= a for a, b in zip(self.grid_sizes, self.grid_sizes[1:])
         ):
             raise ValueError("grid_sizes must be strictly increasing")
+        if self.eps_rule != "2h":
+            try:
+                ok = 0.0 < float(self.eps_rule) < math.inf
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValueError(f"eps_rule must be '2h' or a positive number, got {self.eps_rule!r}")
+        if self.n_seeds < 1:
+            raise ValueError("n_seeds must be >= 1")
 
     def grid(self, nx: int) -> gr.GridSpec:
         x_lo, x_hi, y_lo, y_hi = self.domain
@@ -152,9 +163,7 @@ def fit_family_from_dual(dual: pl.DualGridFunction, exclude_k: int = 2) -> tuple
     returns the standard deviation of d22 u* (constancy diagnostic).
     """
     spec = dual.spec
-    v = dual.values
-    a22 = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / spec.hy**2
-    a12 = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * spec.hx * spec.hy)
+    _, a22, a12 = gr.second_differences(spec, dual.values)
     p1 = spec.x_nodes()[1:-1]
     keep = np.abs(p1) > exclude_k * spec.hx * (1.0 + 1e-9)
     if not np.any(keep) or not np.any(p1 > 0):
@@ -302,18 +311,23 @@ def _run_liouville_fit(cfg: ExperimentConfig):
     return rows, verdicts
 
 
+def _seeded_solves(cfg: ExperimentConfig):
+    """Yield (nx, spec, seed, u): the degenerate-operator solve for each grid
+    size and each of the n_seeds random positive boundary data from cfg.seed on."""
+    for nx in cfg.grid_sizes:
+        spec = cfg.grid(nx)
+        for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
+            g = random_positive_boundary(np.random.default_rng(seed), cfg.domain)
+            u, _ = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.solver_tol)
+            yield nx, spec, seed, u
+
+
 def _run_harnack_scan(cfg: ExperimentConfig):
     section = an.SectionSpec(cfg.alpha, (0.0, 0.0), 1.0)
     rows = []
-    for nx in cfg.grid_sizes:
-        spec = cfg.grid(nx)
-        for k in range(cfg.n_seeds):
-            g = random_positive_boundary(np.random.default_rng(cfg.seed + k), cfg.domain)
-            u, _ = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.solver_tol)
-            rep = gs.harnack_quotient(u, section)
-            rows.append(
-                {"nx": nx, "h": spec.hx, "seed": cfg.seed + k, "sup": rep.sup, "inf": rep.inf, "quotient": rep.quotient}
-            )
+    for nx, spec, seed, u in _seeded_solves(cfg):
+        rep = gs.harnack_quotient(u, section)
+        rows.append({"nx": nx, "h": spec.hx, "seed": seed, "sup": rep.sup, "inf": rep.inf, "quotient": rep.quotient})
     verdicts = {"positive_infimum": all(r["inf"] > 0 for r in rows)}
     if len(cfg.grid_sizes) >= 2:
         per_grid_max = [
@@ -328,14 +342,10 @@ def _run_holder_scan(cfg: ExperimentConfig):
     inner = an.SectionSpec(cfg.alpha, (0.0, 0.0), 1.0)
     outer = an.SectionSpec(cfg.alpha, (0.0, 0.0), 2.0)
     rows = []
-    for nx in cfg.grid_sizes:
-        spec = cfg.grid(nx)
-        for k in range(cfg.n_seeds):
-            g = random_positive_boundary(np.random.default_rng(cfg.seed + k), cfg.domain)
-            u, _ = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.solver_tol)
-            # same pair seed across grids: stability reflects solution refinement
-            ratio = gs.holder_estimate(u, cfg.gamma, inner, outer, n_pairs=cfg.n_pairs, seed=cfg.seed + k)
-            rows.append({"nx": nx, "h": spec.hx, "seed": cfg.seed + k, "ratio": ratio})
+    for nx, spec, seed, u in _seeded_solves(cfg):
+        # same pair seed across grids: stability reflects solution refinement
+        ratio = gs.holder_estimate(u, cfg.gamma, inner, outer, n_pairs=cfg.n_pairs, seed=seed)
+        rows.append({"nx": nx, "h": spec.hx, "seed": seed, "ratio": ratio})
     verdicts = {"finite": all(np.isfinite(r["ratio"]) for r in rows)}
     if len(cfg.grid_sizes) >= 2:
         stable = True
@@ -360,12 +370,9 @@ def _run_doubling_check(cfg: ExperimentConfig):
     rows = [
         {"kind": "centered_ratio", "cx": 0.0, "cy": 0.0, "value": centered, "reference": target}
     ]
-    off = an.doubling_ratio(
-        cfg.alpha, omega, cfg.domain, cfg.center, cfg.semi_axes, 0.0, cfg.resolution
-    ) if cfg.center != (0.0, 0.0) else an.doubling_ratio(
-        cfg.alpha, omega, cfg.domain, (0.35, 0.1), cfg.semi_axes, 0.0, cfg.resolution
-    )
-    rows.append({"kind": "offcenter_ratio", "cx": 0.35, "cy": 0.1, "value": off, "reference": 0.0})
+    cx, cy = cfg.center if cfg.center != (0.0, 0.0) else (0.35, 0.1)
+    off = an.doubling_ratio(cfg.alpha, omega, cfg.domain, (cx, cy), cfg.semi_axes, 0.0, cfg.resolution)
+    rows.append({"kind": "offcenter_ratio", "cx": cx, "cy": cy, "value": off, "reference": 0.0})
 
     # spot pairs (|E|/|S|, mu(E)/mu(S)) for small ellipse subsets of a section
     section = an.SectionSpec(cfg.alpha, (0.0, 0.0), 1.0)
@@ -616,18 +623,22 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce(name: str, kind, raw: str):
     if kind is float:
         return _parse_number(raw)
     if kind is int:
         return int(raw)
     if kind is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    if kind == tuple[int, ...]:
-        return tuple(int(s) for s in raw.split(","))
-    if kind in (tuple[float, ...], tuple[float, float], tuple[float, float, float], tuple[float, float, float, float]):
-        return tuple(_parse_number(s) for s in raw.split(","))
-    if kind == str | None or kind is str:
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"config key {name!r}: {raw!r} is not a boolean (use true/false)")
+        return _BOOLS[raw.lower()]
+    if typing.get_origin(kind) is tuple:
+        parse = int if typing.get_args(kind)[0] is int else _parse_number
+        return tuple(parse(s) for s in raw.split(","))
+    if kind in (str, str | None):
         return raw
     raise ValueError(f"cannot parse config key {name!r}")
 
@@ -638,27 +649,13 @@ def make_config(name: str, config_path=None, **overrides) -> ExperimentConfig:
         raise ValueError(f"unknown experiment {name!r}")
     merged: dict = dict(EXPERIMENTS[name][2])
     if config_path is not None:
-        kinds = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+        kinds = typing.get_type_hints(ExperimentConfig)
         for key, raw in load_config_file(config_path).items():
             if key == "experiment":
                 continue
             if key not in kinds:
                 raise ValueError(f"unknown config key {key!r}")
-            kind = kinds[key]
-            if isinstance(kind, str):  # annotations may arrive as strings
-                kind = {
-                    "float": float,
-                    "int": int,
-                    "bool": bool,
-                    "str": str,
-                    "str | None": str,
-                    "tuple[int, ...]": tuple[int, ...],
-                    "tuple[float, ...]": tuple[float, ...],
-                    "tuple[float, float]": tuple[float, float],
-                    "tuple[float, float, float]": tuple[float, float, float],
-                    "tuple[float, float, float, float]": tuple[float, float, float, float],
-                }[kind]
-            merged[key] = _coerce(key, kind, raw)
+            merged[key] = _coerce(key, kinds[key], raw)
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value

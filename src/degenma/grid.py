@@ -11,19 +11,13 @@ __all__ = [
     "GridSpec",
     "GridFunction",
     "sample",
-    "d11",
-    "d22",
-    "d12",
-    "interior_slice",
+    "second_differences",
     "sup_norm",
     "holder_seminorm",
     "interp_bilinear",
     "write_csv",
     "read_csv",
 ]
-
-interior_slice = np.s_[1:-1, 1:-1]
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -68,13 +62,6 @@ class GridSpec:
         m[0, :] = m[-1, :] = m[:, 0] = m[:, -1] = True
         return m
 
-    # Flat layout contract: x1 varies fastest, i.e. flat = j*nx + i.
-    def flat_index(self, i: int, j: int) -> int:
-        return j * self.nx + i
-
-    def from_flat(self, k: int) -> tuple[int, int]:
-        return k % self.nx, k // self.nx
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -93,10 +80,6 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def flat(self) -> np.ndarray:
-        """Values in the flat layout (x1 fastest)."""
-        return self.values.T.ravel()
-
 
 def sample(spec: GridSpec, f) -> GridFunction:
     """Sample a callable f(x1, x2) (numpy-broadcastable) at the nodes."""
@@ -104,28 +87,13 @@ def sample(spec: GridSpec, f) -> GridFunction:
     return GridFunction(spec, np.broadcast_to(np.asarray(f(X1, X2), dtype=float), (spec.nx, spec.ny)))
 
 
-def d11(u: GridFunction) -> np.ndarray:
-    """Centered second difference in x1; boundary ring is NaN (invalid)."""
-    v = u.values
-    out = np.full_like(v, np.nan)
-    out[1:-1, 1:-1] = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / u.spec.hx**2
-    return out
-
-
-def d22(u: GridFunction) -> np.ndarray:
-    """Centered second difference in x2; boundary ring is NaN (invalid)."""
-    v = u.values
-    out = np.full_like(v, np.nan)
-    out[1:-1, 1:-1] = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / u.spec.hy**2
-    return out
-
-
-def d12(u: GridFunction) -> np.ndarray:
-    """4-point cross stencil for the mixed second derivative; NaN boundary ring."""
-    v = u.values
-    out = np.full_like(v, np.nan)
-    out[1:-1, 1:-1] = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * u.spec.hx * u.spec.hy)
-    return out
+def second_differences(spec: GridSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centered second differences (d11, d22, d12) of node values ``v`` on the
+    interior nodes, each of shape (nx - 2, ny - 2); d12 is the 4-point cross."""
+    d11 = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / spec.hx**2
+    d22 = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / spec.hy**2
+    d12 = (v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]) / (4.0 * spec.hx * spec.hy)
+    return d11, d22, d12
 
 
 def sup_norm(u: GridFunction, mask: np.ndarray | None = None) -> float:

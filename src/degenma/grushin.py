@@ -9,8 +9,6 @@ the system is solved by sparse direct factorization.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .analytic import RegularizerSpec, SectionSpec, eta_eps, section_bbox, section_contains, section_sample_pairs
-from .grid import GridFunction, GridSpec, holder_seminorm, sup_norm
+from .grid import GridFunction, GridSpec, holder_seminorm, second_differences, sup_norm
 
 __all__ = [
     "SolveReport",
@@ -28,7 +26,7 @@ __all__ = [
     "holder_estimate",
     "derivative_bound_scan",
     "boundary_array",
-    "report_to_json",
+    "boundary_rhs",
     "section_node_mask",
 ]
 
@@ -57,10 +55,6 @@ class HarnackReport:
     sup: float
     inf: float
     quotient: float
-
-
-def report_to_json(report) -> str:
-    return json.dumps(dataclasses.asdict(report), default=str, indent=2, sort_keys=True)
 
 
 def boundary_array(spec: GridSpec, g) -> np.ndarray:
@@ -106,7 +100,9 @@ def assemble_operator(spec: GridSpec, eta_interior: np.ndarray) -> sp.csc_matrix
     return a
 
 
-def _boundary_rhs(spec: GridSpec, g_arr: np.ndarray, eta_interior: np.ndarray) -> np.ndarray:
+def boundary_rhs(spec: GridSpec, g_arr: np.ndarray, eta_interior: np.ndarray) -> np.ndarray:
+    """Dirichlet data moved to the right-hand side of :func:`assemble_operator`:
+    the terms of the boundary neighbors of each interior node, same ordering."""
     mx, my = spec.nx - 2, spec.ny - 2
     b = np.zeros((mx, my))
     b[0, :] += g_arr[0, 1:-1] / spec.hx**2
@@ -114,12 +110,6 @@ def _boundary_rhs(spec: GridSpec, g_arr: np.ndarray, eta_interior: np.ndarray) -
     b[:, 0] += eta_interior / spec.hy**2 * g_arr[1:-1, 0]
     b[:, -1] += eta_interior / spec.hy**2 * g_arr[1:-1, -1]
     return b.ravel()
-
-
-def _operator_residual(spec: GridSpec, u: np.ndarray, eta_interior: np.ndarray) -> float:
-    lap_x = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / spec.hx**2
-    lap_y = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / spec.hy**2
-    return float(np.max(np.abs(lap_x + eta_interior[:, None] * lap_y)))
 
 
 def solve_dirichlet(
@@ -137,10 +127,11 @@ def solve_dirichlet(
     g_arr = boundary_array(spec, g)
     eta_int = np.asarray(eta_eps(RegularizerSpec(alpha, eps), spec.x_nodes()[1:-1]), dtype=float)
     a = assemble_operator(spec, eta_int)
-    b = _boundary_rhs(spec, g_arr, eta_int)
+    b = boundary_rhs(spec, g_arr, eta_int)
     u = np.array(g_arr)
     u[1:-1, 1:-1] = spla.splu(a).solve(b).reshape(spec.nx - 2, spec.ny - 2)
-    residual = _operator_residual(spec, u, eta_int)
+    d11, d22, _ = second_differences(spec, u)
+    residual = float(np.max(np.abs(d11 + eta_int[:, None] * d22)))
     bd = spec.boundary_mask()
     margin = float(min(np.max(g_arr[bd]) - np.max(u), np.min(u) - np.min(g_arr[bd])))
     report = SolveReport(

@@ -19,8 +19,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .analytic import RegularizerSpec, SectionSpec, eta_eps, phi_det_coefficient, phi_eval
-from .grid import GridFunction, GridSpec
-from .grushin import SolveReport, assemble_operator, boundary_array, section_node_mask
+from .grid import GridFunction, GridSpec, second_differences
+from .grushin import SolveReport, assemble_operator, boundary_array, boundary_rhs, section_node_mask
 
 __all__ = ["MaConfig", "ma_solve_dirichlet", "ma_residual", "comparison_check"]
 
@@ -31,30 +31,18 @@ class MaConfig:
 
     Convergence requires both the applied sup-update <= fixed_point_tolerance
     and the identity residual sup |lap u - sqrt(...)| <= 10x that tolerance.
-    Damping starts at ``damping``, halves whenever the fixed-point residual
-    increases, and never drops below 0.125.
+    Damping starts at 1, halves whenever the fixed-point residual increases,
+    and never drops below 0.125.
     """
 
     max_iterations: int = 3000
     fixed_point_tolerance: float = 1e-10
-    damping: float = 1.0
-    poisson_tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.fixed_point_tolerance > 0 and self.poisson_tolerance > 0):
-            raise ValueError("tolerances must be > 0")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-
-
-def _stencils(spec: GridSpec, u: np.ndarray):
-    hx2, hy2 = spec.hx**2, spec.hy**2
-    a11 = (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / hx2
-    a22 = (u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / hy2
-    a12 = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4.0 * spec.hx * spec.hy)
-    return a11, a22, a12
+        if not self.fixed_point_tolerance > 0:
+            raise ValueError("fixed_point_tolerance must be > 0")
 
 
 def ma_solve_dirichlet(
@@ -76,29 +64,26 @@ def ma_solve_dirichlet(
     f = np.asarray(eta_eps(RegularizerSpec(alpha, eps), spec.x_nodes()[1:-1]), dtype=float)[:, None]
     f = np.broadcast_to(f, (spec.nx - 2, spec.ny - 2))
 
-    lap = spla.splu(assemble_operator(spec, np.ones(spec.nx - 2)))
-    bx = np.zeros((spec.nx - 2, spec.ny - 2))
-    bx[0, :] += g_arr[0, 1:-1] / spec.hx**2
-    bx[-1, :] += g_arr[-1, 1:-1] / spec.hx**2
-    bx[:, 0] += g_arr[1:-1, 0] / spec.hy**2
-    bx[:, -1] += g_arr[1:-1, -1] / spec.hy**2
+    ones = np.ones(spec.nx - 2)
+    lap = spla.splu(assemble_operator(spec, ones))
+    bx = boundary_rhs(spec, g_arr, ones)
 
     def poisson(rhs: np.ndarray) -> np.ndarray:
         # lap P = rhs with P = g on the boundary; assemble_operator is -lap.
-        return lap.solve((bx - rhs).ravel()).reshape(spec.nx - 2, spec.ny - 2)
+        return lap.solve(bx - rhs.ravel()).reshape(spec.nx - 2, spec.ny - 2)
 
     u = np.array(g_arr)
     u[1:-1, 1:-1] = poisson(2.0 * np.sqrt(f))
 
     tol = cfg.fixed_point_tolerance
-    damping = cfg.damping
+    damping = 1.0
     update_sup = np.inf
     fp_prev = np.inf
     streak = 0
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
-        a11, a22, a12 = _stencils(spec, u)
+        a11, a22, a12 = second_differences(spec, u)
         rhs = np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2 + 4.0 * f)
         identity_residual = float(np.max(np.abs(a11 + a22 - rhs)))
         if update_sup <= tol and identity_residual <= 10.0 * tol:
@@ -114,14 +99,14 @@ def ma_solve_dirichlet(
             # recover from transient-induced halvings once the residual has
             # decreased monotonically for a sustained stretch
             streak += 1
-            if streak >= 100 and damping < cfg.damping:
-                damping = min(2.0 * damping, cfg.damping)
+            if streak >= 100 and damping < 1.0:
+                damping = min(2.0 * damping, 1.0)
                 streak = 0
         fp_prev = fp_resid
         u[1:-1, 1:-1] += damping * delta
         update_sup = damping * fp_resid
 
-    a11, a22, a12 = _stencils(spec, u)
+    a11, a22, a12 = second_differences(spec, u)
     rhs = np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2 + 4.0 * f)
     det = a11 * a22 - a12**2
     bd = spec.boundary_mask()
@@ -148,7 +133,7 @@ def ma_solve_dirichlet(
 def ma_residual(u: GridFunction, alpha: float, eps: float) -> np.ndarray:
     """Interior field d11 d22 - d12^2 - eta_eps(x1); NaN on the boundary ring."""
     spec = u.spec
-    a11, a22, a12 = _stencils(spec, u.values)
+    a11, a22, a12 = second_differences(spec, u.values)
     f = np.asarray(eta_eps(RegularizerSpec(alpha, eps), spec.x_nodes()[1:-1]), dtype=float)[:, None]
     out = np.full((spec.nx, spec.ny), np.nan)
     out[1:-1, 1:-1] = a11 * a22 - a12**2 - f

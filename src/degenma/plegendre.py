@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, interp_bilinear
+from .grid import GridFunction, GridSpec, interp_bilinear, second_differences
 
 __all__ = [
     "DualGridFunction",
@@ -135,12 +135,9 @@ def grushin_residual(ustar: DualGridFunction, alpha: float, exclude_k: int = 2) 
     if exclude_k < 1:
         raise ValueError("exclude_k must be >= 1")
     spec = ustar.spec
-    v = ustar.values
-    hx, hy = spec.hx, spec.hy
-    a11 = (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx**2
-    a22 = (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy**2
+    a11, a22, _ = second_differences(spec, ustar.values)
     p1 = spec.x_nodes()[1:-1]
-    keep = np.abs(p1) > exclude_k * hx * (1.0 + 1e-9)
+    keep = np.abs(p1) > exclude_k * spec.hx * (1.0 + 1e-9)
     if not np.any(keep):
         raise ValueError("grid too small: no interior columns left after the line exclusion")
     res = a11[keep, :] + (np.abs(p1[keep]) ** alpha)[:, None] * a22[keep, :]

@@ -200,7 +200,7 @@ def test_eta_eps_examples():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    alpha=st.floats(-0.9, 4.0),
+    alpha=st.floats(-1.0, 20.0, exclude_min=True),
     eps=st.floats(1e-3, 0.5),
     x1=st.floats(-3.0, 3.0),
 )
@@ -209,6 +209,10 @@ def test_eta_eps_invariants(alpha, eps, x1):
     val = an.eta_eps(spec, x1)
     assert val > 0.0
     assert val == an.eta_eps(spec, -x1)  # even in x1
+    # between the plateau and the outer branch: the bridge is monotone
+    lo, hi = sorted((eps**alpha, (2 * eps) ** alpha))
+    if abs(x1) <= 2 * eps:
+        assert lo * (1 - 1e-12) <= val <= hi * (1 + 1e-12)
     if abs(x1) <= eps:
         assert val == pytest.approx(eps**alpha)
     if abs(x1) >= 2 * eps:
@@ -216,13 +220,14 @@ def test_eta_eps_invariants(alpha, eps, x1):
 
 
 @settings(max_examples=40, deadline=None)
-@given(alpha=st.floats(-0.9, 4.0), eps=st.floats(1e-3, 0.5))
+@given(alpha=st.floats(-1.0, 20.0, exclude_min=True), eps=st.floats(1e-3, 0.5))
 def test_eta_eps_bridge_monotone(alpha, eps):
     spec = an.RegularizerSpec(alpha, eps)
     s = np.linspace(eps, 2 * eps, 200)
     vals = np.asarray(an.eta_eps(spec, s))
+    assert np.all(vals > 0.0)
     diffs = np.diff(vals) * np.sign(alpha) if alpha != 0 else np.diff(vals)
-    assert np.all(diffs >= -1e-12)
+    assert np.all(diffs >= -1e-12 * np.max(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,15 @@ def test_doubling_check_quick():
     assert centered["reference"] == pytest.approx(0.25)
 
 
+def test_doubling_check_labels_the_configured_center():
+    summary = run(make_config("doubling-check", alpha=0.0, resolution=256, center=(0.5, 0.0)))
+    off = [r for r in summary.rows if r["kind"] == "offcenter_ratio"][0]
+    assert (off["cx"], off["cy"]) == (0.5, 0.0)
+    omega = lambda X1, X2: (np.abs(X1) <= 1.0) & (np.abs(X2) <= 1.0)
+    expected = an.doubling_ratio(0.0, omega, (-1.0, 1.0, -1.0, 1.0), (0.5, 0.0), (0.3, 0.2), 0.0, 256)
+    assert off["value"] == expected
+
+
 def test_legendre_roundtrip_experiment():
     summary = run(make_config("legendre-roundtrip", grid_sizes=(33, 65)))
     assert summary.all_pass()
@@ -191,6 +200,17 @@ def test_cli_exit_codes(tmp_path):
         cli.main([])
     assert exc.value.code == 2
     assert cli.main(["barrier-check", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize(
+    "line", ["save_fields = ture", "eps_rule = abc", "eps_rule = -0.1", "n_seeds = 0"]
+)
+def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    assert cli.main(["harnack-scan", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "degenma: error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_help_documents_metrics_columns(capsys):

@@ -23,17 +23,6 @@ def test_spacings_and_nodes():
     assert spec.y_nodes()[4] == pytest.approx(0.0)
 
 
-def test_flat_index_round_trip():
-    spec = gr.GridSpec(0.0, 1.0, 0.0, 1.0, 7, 5)
-    for i in range(spec.nx):
-        for j in range(spec.ny):
-            assert spec.from_flat(spec.flat_index(i, j)) == (i, j)
-    # x1 varies fastest in the flat layout
-    u = gr.sample(spec, lambda X, Y: X + 10.0 * Y)
-    flat = u.flat()
-    assert flat[1] - flat[0] == pytest.approx(spec.hx)
-
-
 def test_grid_function_validation():
     spec = unit_spec(5)
     with pytest.raises(ValueError):
@@ -43,18 +32,19 @@ def test_grid_function_validation():
 
 
 def test_stencils_exact_on_quadratics():
-    spec = unit_spec(33)
-    inner = gr.interior_slice
-    u = gr.sample(spec, lambda X, Y: X**2)
-    assert np.max(np.abs(gr.d11(u)[inner] - 2.0)) <= 1e-13
-    assert np.max(np.abs(gr.d22(u)[inner])) <= 1e-13
-    v = gr.sample(spec, lambda X, Y: X * Y)
-    assert np.max(np.abs(gr.d12(v)[inner] - 1.0)) <= 1e-13
+    spec = gr.GridSpec(-1.0, 1.0, -0.5, 1.5, 33, 17)
+    d11, d22, d12 = gr.second_differences(spec, gr.sample(spec, lambda X, Y: X**2).values)
+    assert np.max(np.abs(d11 - 2.0)) <= 1e-13
+    assert np.max(np.abs(d22)) <= 1e-13
+    assert np.max(np.abs(d12)) <= 1e-13
+    d11, d22, d12 = gr.second_differences(spec, gr.sample(spec, lambda X, Y: X * Y + 3.0 * Y**2).values)
+    assert np.max(np.abs(d11)) <= 1e-12
+    assert np.max(np.abs(d22 - 6.0)) <= 1e-12
+    assert np.max(np.abs(d12 - 1.0)) <= 1e-12
     w = gr.sample(spec, lambda X, Y: np.full(np.broadcast(X, Y).shape, 3.25))
-    for stencil in (gr.d11, gr.d22, gr.d12):
-        out = stencil(w)
-        assert np.max(np.abs(out[inner])) <= 1e-13
-        assert np.all(np.isnan(out[0, :])) and np.all(np.isnan(out[:, -1]))
+    for out in gr.second_differences(spec, w.values):
+        assert out.shape == (spec.nx - 2, spec.ny - 2)  # interior nodes only
+        assert np.max(np.abs(out)) <= 1e-13
 
 
 def test_second_difference_convergence_order():
@@ -64,7 +54,8 @@ def test_second_difference_convergence_order():
         spec = gr.GridSpec(0.0, 1.0, 0.0, 1.0, n, n)
         u = gr.sample(spec, lambda X, Y: np.sin(X) * np.sin(Y))
         exact = gr.sample(spec, lambda X, Y: -np.sin(X) * np.sin(Y))
-        err = np.max(np.abs(gr.d11(u)[gr.interior_slice] - exact.values[gr.interior_slice]))
+        d11, _, _ = gr.second_differences(spec, u.values)
+        err = np.max(np.abs(d11 - exact.values[1:-1, 1:-1]))
         errs.append(err)
         hs.append(spec.hx)
     order = np.polyfit(np.log(hs), np.log(errs), 1)[0]

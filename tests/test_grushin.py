@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenma import analytic as an
 from degenma import grid as gr
@@ -174,7 +177,7 @@ def test_derivative_bound_scan_examples():
 
 def test_solve_report_json_round_trip():
     _, rep = gs.solve_dirichlet(square(17), 1.0, lambda X, Y: X + Y)
-    payload = json.loads(gs.report_to_json(rep))
+    payload = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert set(payload) == {
         "iterations",
         "final_residual",
@@ -183,3 +186,24 @@ def test_solve_report_json_round_trip():
         "extras",
     }
     assert payload["converged"] is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(3, 12),
+    ny=st.integers(3, 12),
+    width=st.floats(0.1, 10.0),
+    height=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_and_boundary_rhs_match_the_stencil(nx, ny, width, height, seed):
+    # A u_int - b(g) = -(d11 + eta d22) u: the sparse matrix, its unknown
+    # ordering and the boundary right-hand side agree with the grid stencil
+    spec = gr.GridSpec(-0.5 * width, 0.5 * width, 0.0, height, nx, ny)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(nx, ny))
+    eta = rng.uniform(1e-3, 10.0, size=nx - 2)
+    lhs = gs.assemble_operator(spec, eta) @ v[1:-1, 1:-1].ravel() - gs.boundary_rhs(spec, v, eta)
+    d11, d22, _ = gr.second_differences(spec, v)
+    scale = np.max(np.abs(v)) * (1.0 / spec.hx**2 + np.max(eta) / spec.hy**2)
+    np.testing.assert_allclose(lhs, -(d11 + eta[:, None] * d22).ravel(), rtol=0, atol=1e-13 * scale)

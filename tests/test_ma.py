@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,7 @@ def test_config_validation():
         ma.MaConfig(max_iterations=0)
     with pytest.raises(ValueError):
         ma.MaConfig(fixed_point_tolerance=0.0)
-    with pytest.raises(ValueError):
-        ma.MaConfig(damping=1.5)
+    assert [f.name for f in dataclasses.fields(ma.MaConfig)] == ["max_iterations", "fixed_point_tolerance"]
 
 
 def test_quadratic_data_exact_for_alpha_zero():
@@ -105,8 +106,7 @@ def test_ma_residual_against_hand_determinant():
     X1, X2 = spec.meshgrid()
     eta = np.asarray(an.eta_eps(an.RegularizerSpec(1.0, eps), X1))
     expected = -12.0 * X1**2 * X2**2 - eta
-    inner = gr.interior_slice
-    np.testing.assert_allclose(res[inner], expected[inner], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(res[1:-1, 1:-1], expected[1:-1, 1:-1], rtol=0, atol=1e-10)
     assert np.nanmax(np.abs(res)) > 1.0  # visibly nonzero
 
 
