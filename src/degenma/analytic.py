@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, interp_bilinear
-
 __all__ = [
     "FamilyParams",
     "SectionSpec",
@@ -24,13 +22,10 @@ __all__ = [
     "OdeTrajectory",
     "BarrierSpec",
     "family_eval",
-    "family_callable",
     "family_hessian",
     "family_det_residual",
     "dual_closed_form",
-    "dual_callable",
     "phi_eval",
-    "phi_callable",
     "phi_grad",
     "phi_det_coefficient",
     "eta_eps",
@@ -49,13 +44,6 @@ __all__ = [
     "barrier_L_residual",
     "barrier_root",
 ]
-
-
-def _split_point(x) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2:
-        raise ValueError("points must have a trailing axis of length 2")
-    return x[..., 0], x[..., 1]
 
 
 def _maybe_scalar(v: np.ndarray):
@@ -102,9 +90,8 @@ def _affine(ell, x1, x2):
     return c0 + c1 * x1 + c2 * x2
 
 
-def family_eval(params: FamilyParams, x):
-    """Value of the family member at points of shape (..., 2)."""
-    x1, x2 = _split_point(x)
+def family_eval(params: FamilyParams, x1, x2):
+    """Value of the family member at (x1, x2); broadcasts over arrays."""
     al, a, b = params.alpha, params.a, params.b
     val = (
         a / ((al + 2.0) * (al + 1.0)) * np.abs(x1) ** (2.0 + al)
@@ -116,43 +103,30 @@ def family_eval(params: FamilyParams, x):
     return _maybe_scalar(val)
 
 
-def family_callable(params: FamilyParams):
-    """The same family member as a broadcastable f(x1, x2)."""
-
-    def f(X1, X2):
-        return family_eval(params, np.stack(np.broadcast_arrays(X1, X2), axis=-1))
-
-    return f
-
-
-def family_hessian(params: FamilyParams, x):
-    """Hessian entries (u11, u12, u22); for alpha < 0 the line x1 = 0 is excluded."""
-    x1, _ = _split_point(x)
+def family_hessian(params: FamilyParams, x1, x2):
+    """Hessian entries (u11, u12, u22) at (x1, x2), each of their broadcast
+    shape; for alpha < 0 the line x1 = 0 is excluded."""
     al, a, b = params.alpha, params.a, params.b
     if al < 0 and np.any(x1 == 0.0):
         raise ValueError("hessian is unbounded on x1 = 0 for alpha < 0")
-    u11 = a * np.abs(x1) ** al + a * b * b
-    u12 = np.broadcast_to(np.float64(b), np.shape(u11)).copy() if np.ndim(u11) else float(b)
-    u22 = np.broadcast_to(np.float64(1.0 / a), np.shape(u11)).copy() if np.ndim(u11) else 1.0 / a
-    return _maybe_scalar(u11), u12, u22
+    zero = np.zeros(np.broadcast(x1, x2).shape)
+    u11 = a * np.abs(x1) ** al + a * b * b + zero
+    return _maybe_scalar(u11), _maybe_scalar(b + zero), _maybe_scalar(1.0 / a + zero)
 
 
-def family_det_residual(params: FamilyParams, x):
+def family_det_residual(params: FamilyParams, x1, x2):
     """det D2u - |x1|^alpha; identically zero in exact arithmetic."""
-    x1, _ = _split_point(x)
-    u11, u12, u22 = family_hessian(params, x)
-    res = u11 * np.asarray(u22) - np.asarray(u12) ** 2 - np.abs(x1) ** params.alpha
-    return _maybe_scalar(res)
+    u11, u12, u22 = family_hessian(params, x1, x2)
+    return _maybe_scalar(u11 * u22 - u12**2 - np.abs(x1) ** params.alpha)
 
 
-def dual_closed_form(params: FamilyParams, p):
+def dual_closed_form(params: FamilyParams, p1, p2):
     """Partial-Legendre dual of the family:
 
         u* = -a/((alpha+1)(alpha+2)) |p1|^(2+alpha) + a/2 p2^2 + b p1 p2 + ell(p1, p2)
 
     It satisfies u*_11 + |p1|^alpha u*_22 = 0 away from p1 = 0.
     """
-    p1, p2 = _split_point(p)
     al, a, b = params.alpha, params.a, params.b
     val = (
         -a / ((al + 1.0) * (al + 2.0)) * np.abs(p1) ** (2.0 + al)
@@ -163,36 +137,20 @@ def dual_closed_form(params: FamilyParams, p):
     return _maybe_scalar(val)
 
 
-def dual_callable(params: FamilyParams):
-    def f(P1, P2):
-        return dual_closed_form(params, np.stack(np.broadcast_arrays(P1, P2), axis=-1))
-
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Model solution phi, sections, weighted measure
 # ---------------------------------------------------------------------------
 
 
-def phi_eval(alpha: float, x):
+def phi_eval(alpha: float, x1, x2):
     """phi(x1, x2) = |x1|^(2+alpha) + x2^2."""
     _check_alpha(alpha)
-    x1, x2 = _split_point(x)
     return _maybe_scalar(np.abs(x1) ** (2.0 + alpha) + x2 * x2)
 
 
-def phi_callable(alpha: float):
-    def f(X1, X2):
-        return phi_eval(alpha, np.stack(np.broadcast_arrays(X1, X2), axis=-1))
-
-    return f
-
-
-def phi_grad(alpha: float, x):
+def phi_grad(alpha: float, x1, x2):
     """Gradient of phi; continuous across x1 = 0 for alpha > -1."""
     _check_alpha(alpha)
-    x1, x2 = _split_point(x)
     g1 = (2.0 + alpha) * np.sign(x1) * np.abs(x1) ** (1.0 + alpha)
     return _maybe_scalar(g1), _maybe_scalar(2.0 * x2)
 
@@ -223,13 +181,12 @@ class SectionSpec:
             raise ValueError("center must be a 2D point")
 
 
-def section_contains(spec: SectionSpec, y):
-    """Strict membership test; broadcasts over points of shape (..., 2)."""
-    y1, y2 = _split_point(y)
+def section_contains(spec: SectionSpec, y1, y2):
+    """Strict membership test of (y1, y2); broadcasts over arrays."""
     cx, cy = (float(c) for c in spec.center)
     al = spec.alpha
-    g1, g2 = phi_grad(al, np.array([cx, cy]))
-    plane = phi_eval(al, np.array([cx, cy])) + g1 * (y1 - cx) + g2 * (y2 - cy)
+    g1, g2 = phi_grad(al, cx, cy)
+    plane = phi_eval(al, cx, cy) + g1 * (y1 - cx) + g2 * (y2 - cy)
     inside = np.abs(y1) ** (2.0 + al) + y2 * y2 < plane + spec.height
     return bool(inside) if np.ndim(inside) == 0 else inside
 
@@ -277,7 +234,7 @@ def section_sample_pairs(spec: SectionSpec, n_pairs: int, rng: np.random.Generat
         cand = np.column_stack(
             [rng.uniform(x_lo, x_hi, size=4 * need), rng.uniform(y_lo, y_hi, size=4 * need)]
         )
-        pts = np.vstack([pts, cand[section_contains(spec, cand)]])
+        pts = np.vstack([pts, cand[section_contains(spec, cand[:, 0], cand[:, 1])]])
     return pts[:need].reshape(n_pairs, 2, 2)
 
 
@@ -429,36 +386,26 @@ def scale_pullback(u, r: float, alpha: float):
     """Scaled field u_r(x1, x2) = u(r^(1/(2+alpha)) x1, r^(1/2) x2) / r.
 
     Preserves the kernel of d11 + |x1|^alpha d22. ``u`` is a broadcastable
-    callable f(x1, x2) or a GridFunction (then evaluation outside its domain
-    raises).
+    callable f(x1, x2).
     """
     _check_alpha(alpha)
     if not r > 0:
         raise ValueError("scaling parameter r must be > 0")
     lam1 = r ** (1.0 / (2.0 + alpha))
     lam2 = math.sqrt(r)
-    if isinstance(u, GridFunction):
-        gf = u
-
-        def base(X1, X2):
-            pts = np.stack(np.broadcast_arrays(np.asarray(X1, float), np.asarray(X2, float)), axis=-1)
-            return interp_bilinear(gf, pts)
-
-    else:
-        base = u
 
     def u_r(X1, X2):
-        return np.asarray(base(lam1 * np.asarray(X1), lam2 * np.asarray(X2))) / r
+        return np.asarray(u(lam1 * np.asarray(X1), lam2 * np.asarray(X2))) / r
 
     return u_r
 
 
-def grushin_fd(v, alpha: float, x, h: float):
-    """Centered-difference evaluation of v_11 + |x1|^alpha v_22 at points (..., 2)."""
+def grushin_fd(v, alpha: float, x1, x2, h: float):
+    """Centered-difference evaluation of v_11 + |x1|^alpha v_22 at (x1, x2)."""
     _check_alpha(alpha)
     if not h > 0:
         raise ValueError("stencil width h must be > 0")
-    x1, x2 = _split_point(x)
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     dxx = (np.asarray(v(x1 + h, x2)) - 2.0 * np.asarray(v(x1, x2)) + np.asarray(v(x1 - h, x2))) / h**2
     dyy = (np.asarray(v(x1, x2 + h)) - 2.0 * np.asarray(v(x1, x2)) + np.asarray(v(x1, x2 - h))) / h**2
     return _maybe_scalar(dxx + np.abs(x1) ** alpha * dyy)
@@ -564,9 +511,8 @@ def _ode_dense_w(traj: OdeTrajectory, t) -> np.ndarray:
     return w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
 
 
-def ode_solution_eval(traj: OdeTrajectory, x):
+def ode_solution_eval(traj: OdeTrajectory, x1, x2):
     """u(x1, x2) = |x1|^((alpha+2)/2) * w(x2); vanishes identically on x1 = 0."""
-    x1, x2 = _split_point(x)
     beta = (traj.alpha + 2.0) / 2.0
     w = _ode_dense_w(traj, x2)
     return _maybe_scalar(np.abs(x1) ** beta * w)
@@ -607,12 +553,11 @@ class BarrierSpec:
         return _BARRIER_RECTS[self.variant]
 
 
-def barrier_L_residual(spec: BarrierSpec, p):
+def barrier_L_residual(spec: BarrierSpec, p1, p2):
     """(d11 + |p1|^alpha d22) of the barrier's polynomial part: 2 C p2 (1 - |p1|^alpha).
 
     Nonpositive on the variant's rectangle since |p1|^alpha >= 1 there.
     """
-    p1, p2 = _split_point(p)
     (x_lo, x_hi), (y_lo, y_hi) = spec.rectangle
     if np.any(p1 < x_lo) or np.any(p1 > x_hi) or np.any(p2 < y_lo) or np.any(p2 >= y_hi):
         raise ValueError("point outside the barrier rectangle")

@@ -8,6 +8,7 @@ every verdict is recomputable from the metrics rows alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -28,10 +29,10 @@ __all__ = [
     "ExperimentConfig",
     "RunSummary",
     "EXPERIMENTS",
-    "default_config",
     "load_config_file",
     "make_config",
     "run",
+    "write_metrics_csv",
     "fit_family_from_dual",
     "random_positive_boundary",
 ]
@@ -84,8 +85,22 @@ class ExperimentConfig:
                 ok = False
             if not ok:
                 raise ValueError(f"eps_rule must be '2h' or a positive number, got {self.eps_rule!r}")
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
+        for ok, message in (
+            (self.n_seeds >= 1, "n_seeds must be >= 1"),
+            (0.0 < self.gamma < 1.0, "gamma must lie in (0, 1)"),
+            # doubling-check integrates at resolution // 4
+            (self.resolution >= 4, "resolution must be >= 4"),
+            (self.tau > 0, "tau must be > 0"),
+            (self.n_pairs >= 1, "n_pairs must be >= 1"),
+            (self.exclude_k >= 1, "exclude_k must be >= 1"),
+            (self.np2 == 0 or self.np2 >= 3, "np2 must be 0 (the input's ny) or >= 3"),
+            (self.max_iterations >= 1, "max_iterations must be >= 1"),
+            (self.fp_tolerance > 0, "fp_tolerance must be > 0"),
+            (self.ode_step > 0, "ode_step must be > 0"),
+            (self.ode_t_max >= 0, "ode_t_max must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
     def grid(self, nx: int) -> gr.GridSpec:
         x_lo, x_hi, y_lo, y_hi = self.domain
@@ -103,11 +118,6 @@ class ExperimentConfig:
 
     def family(self) -> an.FamilyParams:
         return an.FamilyParams(self.alpha, self.family_a, self.family_b, self.family_ell)
-
-    def ma_config(self) -> mam.MaConfig:
-        return mam.MaConfig(
-            max_iterations=self.max_iterations, fixed_point_tolerance=self.fp_tolerance
-        )
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,7 @@ def random_positive_boundary(rng: np.random.Generator, domain, floor: float = 0.
     return g
 
 
-def fit_family_from_dual(dual: pl.DualGridFunction, exclude_k: int = 2) -> tuple[float, float, float]:
+def fit_family_from_dual(dual: gr.GridFunction, exclude_k: int = 2) -> tuple[float, float, float]:
     """Estimate family parameters (a, b) from a dual sample.
 
     a_hat is the mean of d22 u* over the interior away from the line (the dual
@@ -190,7 +200,7 @@ def _maybe_save(cfg: ExperimentConfig, name: str, u: gr.GridFunction) -> None:
 
 
 def _run_convergence_grushin(cfg: ExperimentConfig):
-    g = an.dual_callable(cfg.family())
+    g = functools.partial(an.dual_closed_form, cfg.family())
     rows = []
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
@@ -217,12 +227,14 @@ def _run_convergence_grushin(cfg: ExperimentConfig):
 
 
 def _run_convergence_ma(cfg: ExperimentConfig):
-    g = an.family_callable(cfg.family())
+    g = functools.partial(an.family_eval, cfg.family())
     rows = []
     delta = 10.0 * cfg.fp_tolerance
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
-        u, rep = mam.ma_solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec), cfg=cfg.ma_config())
+        u, rep = mam.ma_solve_dirichlet(
+            spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.fp_tolerance, max_iterations=cfg.max_iterations
+        )
         err = float(np.max(np.abs(u.values - gr.sample(spec, g).values)))
         rows.append(
             {
@@ -257,7 +269,7 @@ def _run_convergence_ma(cfg: ExperimentConfig):
 
 
 def _run_legendre_roundtrip(cfg: ExperimentConfig):
-    f = an.family_callable(cfg.family())
+    f = functools.partial(an.family_eval, cfg.family())
     rows = []
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
@@ -273,11 +285,13 @@ def _run_legendre_roundtrip(cfg: ExperimentConfig):
 
 def _run_liouville_fit(cfg: ExperimentConfig):
     fam = cfg.family()
-    g = an.family_callable(fam)
+    g = functools.partial(an.family_eval, fam)
     rows = []
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
-        u, rep = mam.ma_solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec), cfg=cfg.ma_config())
+        u, rep = mam.ma_solve_dirichlet(
+            spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.fp_tolerance, max_iterations=cfg.max_iterations
+        )
         dual = pl.forward_transform(u, cfg.np2 or None)
         a_hat, b_hat, stdev = fit_family_from_dual(dual, cfg.exclude_k)
         resid = pl.grushin_residual(dual, cfg.alpha, cfg.exclude_k)
@@ -289,7 +303,7 @@ def _run_liouville_fit(cfg: ExperimentConfig):
                 "b_hat": b_hat,
                 "d22_stdev": stdev,
                 "pipeline_residual": resid,
-                "p2_width": dual.p2_range[1] - dual.p2_range[0],
+                "p2_width": dual.spec.y_hi - dual.spec.y_lo,
                 "iterations": rep.iterations,
                 "converged": int(rep.converged),
             }
@@ -377,8 +391,9 @@ def _run_doubling_check(cfg: ExperimentConfig):
     # spot pairs (|E|/|S|, mu(E)/mu(S)) for small ellipse subsets of a section
     section = an.SectionSpec(cfg.alpha, (0.0, 0.0), 1.0)
     sb = an.section_bbox(section)
-    mu_s = an.mu_alpha_measure(cfg.alpha, lambda X, Y: an.section_contains(section, np.stack(np.broadcast_arrays(X, Y), -1)), sb, cfg.resolution // 2)
-    area_s = an.mu_alpha_measure(0.0, lambda X, Y: an.section_contains(section, np.stack(np.broadcast_arrays(X, Y), -1)), sb, cfg.resolution // 2)
+    in_section = functools.partial(an.section_contains, section)
+    mu_s = an.mu_alpha_measure(cfg.alpha, in_section, sb, cfg.resolution // 2)
+    area_s = an.mu_alpha_measure(0.0, in_section, sb, cfg.resolution // 2)
     for cx, cy, ax, ay in ((0.0, 0.0, 0.1, 0.08), (0.3, 0.2, 0.08, 0.05), (0.0, -0.5, 0.06, 0.1)):
         e = an.ellipse_region((cx, cy), (ax, ay))
         eb = an.ellipse_bbox((cx, cy), (ax, ay), 0.0)
@@ -401,7 +416,14 @@ def _run_strictconvexity_demo(cfg: ExperimentConfig):
         raise ValueError("strictconvexity-demo requires alpha > 0")
     rows = []
     spec = cfg.grid(cfg.grid_sizes[-1])
-    u, rep = mam.ma_solve_dirichlet(spec, cfg.alpha, lambda X, Y: 0.0 * X, eps=cfg.eps_for(spec), cfg=cfg.ma_config())
+    u, rep = mam.ma_solve_dirichlet(
+        spec,
+        cfg.alpha,
+        lambda X, Y: 0.0 * X,
+        eps=cfg.eps_for(spec),
+        tol=cfg.fp_tolerance,
+        max_iterations=cfg.max_iterations,
+    )
     v = gr.GridFunction(spec, u.values - np.min(u.values))
     section = an.SectionSpec(cfg.alpha, (0.0, 0.0), cfg.tau)
     inside = gs.section_node_mask(v, section)
@@ -426,7 +448,7 @@ def _run_strictconvexity_demo(cfg: ExperimentConfig):
     y_hi = 0.8 * float(traj.t[-1])
     ospec = gr.GridSpec(-1.0, 1.0, 0.0, y_hi, cfg.grid_sizes[-1], cfg.grid_sizes[-1])
     X1, X2 = ospec.meshgrid()
-    uo = an.ode_solution_eval(traj, np.stack([X1, X2], axis=-1))
+    uo = an.ode_solution_eval(traj, X1, X2)
     line = np.abs(uo[np.isclose(X1, 0.0)])
     on_line_max = float(np.max(line)) if line.size else float("nan")
     rows.append({"part": "ode", "metric": "max_abs_on_line", "value": on_line_max})
@@ -446,12 +468,12 @@ def _run_barrier_check(cfg: ExperimentConfig):
     ok_sign = True
     for variant, alpha in cases:
         (p1_lo, p1_hi), _ = an.BarrierSpec(variant, 1.0, alpha).rectangle
-        p1 = np.linspace(p1_lo, p1_hi, 100)
-        p2 = np.linspace(0.0, 1.0, 100, endpoint=False)
-        pts = np.stack(np.meshgrid(p1, p2, indexing="ij"), axis=-1)
+        P1, P2 = np.meshgrid(
+            np.linspace(p1_lo, p1_hi, 100), np.linspace(0.0, 1.0, 100, endpoint=False), indexing="ij"
+        )
         for c in cfg.c_values:
             spec = an.BarrierSpec(variant, c, alpha)
-            res = np.asarray(an.barrier_L_residual(spec, pts))
+            res = np.asarray(an.barrier_L_residual(spec, P1, P2))
             worst = float(np.max(res))
             ok_sign &= worst <= 1e-13
             rows.append({"kind": "sign", "variant": variant, "C": c, "value": worst, "reference": 0.0})
@@ -487,12 +509,11 @@ def _run_scaling_check(cfg: ExperimentConfig):
         for r in cfg.r_values:
             ur = an.scale_pullback(_scaling_probe, r, alpha)
             for x1, x2 in _SCALING_POINTS:
-                lhs = an.grushin_fd(ur, alpha, (x1, x2), h)
-                sx = (lam1(r) * x1, np.sqrt(r) * x2)
-                rhs = r ** (-alpha / (2.0 + alpha)) * an.grushin_fd(_scaling_probe, alpha, sx, h)
-                resid = abs(lhs - rhs)
+                lhs = an.grushin_fd(ur, alpha, x1, x2, h)
+                scaled = an.grushin_fd(_scaling_probe, alpha, lam1(r) * x1, np.sqrt(r) * x2, h)
+                resid = abs(lhs - r ** (-alpha / (2.0 + alpha)) * scaled)
                 worst = max(worst, resid)
-                probe_action = max(probe_action, abs(an.grushin_fd(_scaling_probe, alpha, (x1, x2), h)))
+                probe_action = max(probe_action, abs(an.grushin_fd(_scaling_probe, alpha, x1, x2, h)))
                 rows.append({"alpha": alpha, "r": r, "x1": x1, "x2": x2, "residual": resid})
     return rows, {
         "identity_within_tolerance": worst <= 1e-6,
@@ -592,12 +613,6 @@ EXPERIMENTS = {
         {"alpha": 2.0, "grid_sizes": (65,)},
     ),
 }
-
-
-def default_config(name: str) -> ExperimentConfig:
-    if name not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}")
-    return ExperimentConfig(experiment=name, **EXPERIMENTS[name][2])
 
 
 def load_config_file(path) -> dict[str, str]:

@@ -117,8 +117,8 @@ def holder_seminorm(u: GridFunction, gamma: float, pairs: np.ndarray) -> float:
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1:] != (2, 2) or pairs.shape[0] == 0:
         raise ValueError("pairs must have shape (m, 2, 2) with m >= 1")
-    va = interp_bilinear(u, pairs[:, 0, :])
-    vb = interp_bilinear(u, pairs[:, 1, :])
+    va = interp_bilinear(u, pairs[:, 0, 0], pairs[:, 0, 1])
+    vb = interp_bilinear(u, pairs[:, 1, 0], pairs[:, 1, 1])
     dist = np.hypot(pairs[:, 0, 0] - pairs[:, 1, 0], pairs[:, 0, 1] - pairs[:, 1, 1])
     ok = dist > 0
     if not np.any(ok):
@@ -126,14 +126,24 @@ def holder_seminorm(u: GridFunction, gamma: float, pairs: np.ndarray) -> float:
     return float(np.max(np.abs(va[ok] - vb[ok]) / dist[ok] ** gamma))
 
 
-def interp_bilinear(u: GridFunction, points) -> np.ndarray | float:
-    """Bilinear interpolation at points of shape (..., 2); exact on the
-    c0 + c1*x1 + c2*x2 + c3*x1*x2 class. Out-of-range points are an error."""
+def _cell(t: np.ndarray, lo: float, h: float, nodes: np.ndarray):
+    """Cell index k in [0, n - 2] and offset (t - t_k) / h of coordinates t.
+    A coordinate equal to a node gets offset exactly 0 (1 at the last node),
+    so interpolation at the nodes returns the node values unchanged."""
+    s = (t - lo) / h
+    k = np.clip(s.astype(int), 0, len(nodes) - 2)
+    offset = (t - (lo + k * h)) / h
+    nearest = np.clip(np.rint(s).astype(int), 0, len(nodes) - 1)
+    on_node = t == nodes[nearest]
+    k = np.where(on_node, np.minimum(nearest, len(nodes) - 2), k)
+    return k, np.where(on_node, nearest - k, offset)
+
+
+def interp_bilinear(u: GridFunction, x1, x2) -> np.ndarray | float:
+    """Bilinear interpolation at (x1, x2), broadcasting over arrays; exact on
+    the c0 + c1*x1 + c2*x2 + c3*x1*x2 class. Out-of-range points are an error."""
     spec = u.spec
-    pts = np.asarray(points, dtype=float)
-    scalar = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    x1, x2 = pts[..., 0], pts[..., 1]
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
     # Tolerate roundoff-level overshoot at the outer boundary.
     tol_x = 1e-12 * (spec.x_hi - spec.x_lo)
     tol_y = 1e-12 * (spec.y_hi - spec.y_lo)
@@ -141,10 +151,8 @@ def interp_bilinear(u: GridFunction, points) -> np.ndarray | float:
         x2 < spec.y_lo - tol_y
     ) or np.any(x2 > spec.y_hi + tol_y):
         raise ValueError("interpolation point outside the grid")
-    i = np.clip(((x1 - spec.x_lo) / spec.hx).astype(int), 0, spec.nx - 2)
-    j = np.clip(((x2 - spec.y_lo) / spec.hy).astype(int), 0, spec.ny - 2)
-    tx = (x1 - (spec.x_lo + i * spec.hx)) / spec.hx
-    ty = (x2 - (spec.y_lo + j * spec.hy)) / spec.hy
+    i, tx = _cell(x1, spec.x_lo, spec.hx, spec.x_nodes())
+    j, ty = _cell(x2, spec.y_lo, spec.hy, spec.y_nodes())
     v = u.values
     out = (
         (1 - tx) * (1 - ty) * v[i, j]
@@ -152,7 +160,7 @@ def interp_bilinear(u: GridFunction, points) -> np.ndarray | float:
         + (1 - tx) * ty * v[i, j + 1]
         + tx * ty * v[i + 1, j + 1]
     )
-    return float(out[0]) if scalar else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def write_csv(u: GridFunction, path, header: tuple[str, str, str] = ("x1", "x2", "value")) -> None:

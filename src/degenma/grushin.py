@@ -21,6 +21,7 @@ from .grid import GridFunction, GridSpec, holder_seminorm, second_differences, s
 __all__ = [
     "SolveReport",
     "HarnackReport",
+    "assemble_operator",
     "solve_dirichlet",
     "harnack_quotient",
     "holder_estimate",
@@ -58,22 +59,12 @@ class HarnackReport:
 
 
 def boundary_array(spec: GridSpec, g) -> np.ndarray:
-    """Normalize boundary data to a full (nx, ny) array (interior entries unused).
-
-    Accepts a broadcastable callable g(x1, x2), a GridFunction on the same
-    spec (its boundary ring is used), or a full array of values.
-    """
-    if isinstance(g, GridFunction):
-        if g.spec != spec:
-            raise ValueError("boundary GridFunction lives on a different grid")
-        arr = np.array(g.values)
-    elif callable(g):
-        X1, X2 = spec.meshgrid()
-        arr = np.broadcast_to(np.asarray(g(X1, X2), dtype=float), (spec.nx, spec.ny)).copy()
-    else:
-        arr = np.array(g, dtype=float)
-        if arr.shape != (spec.nx, spec.ny):
-            raise ValueError("boundary array must have shape (nx, ny)")
+    """Boundary data g(x1, x2), a broadcastable callable, sampled at every node
+    into a full (nx, ny) array (interior entries unused)."""
+    if not callable(g):
+        raise TypeError("boundary data must be a callable g(x1, x2)")
+    X1, X2 = spec.meshgrid()
+    arr = np.broadcast_to(np.asarray(g(X1, X2), dtype=float), (spec.nx, spec.ny)).copy()
     if not np.all(np.isfinite(arr[spec.boundary_mask()])):
         raise ValueError("boundary data must be finite on all boundary nodes")
     return arr
@@ -158,7 +149,7 @@ def section_node_mask(u: GridFunction, section: SectionSpec) -> np.ndarray:
     ):
         raise ValueError("section is not contained in the grid")
     X1, X2 = s.meshgrid()
-    return section_contains(section, np.stack([X1, X2], axis=-1))
+    return section_contains(section, X1, X2)
 
 
 def harnack_quotient(u: GridFunction, section: SectionSpec) -> HarnackReport:
@@ -222,7 +213,7 @@ def derivative_bound_scan(
     inner[:, 0] = inner[:, -1] = False  # centered D2 needs y-interior nodes
     rows = []
     for eps in eps_list:
-        u, _ = solve_dirichlet(spec, alpha, g_arr, eps=eps, tol=tol)
+        u, _ = solve_dirichlet(spec, alpha, g, eps=eps, tol=tol)
         d2 = np.zeros_like(u.values)
         d2[:, 1:-1] = (u.values[:, 2:] - u.values[:, :-2]) / (2.0 * spec.hy)
         ratio = 0.0 if sup_g == 0.0 else float(np.max(np.abs(d2[inner]))) / sup_g

@@ -13,8 +13,6 @@ convergence slack, so discrete convexity comes for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse.linalg as spla
 
@@ -22,27 +20,7 @@ from .analytic import RegularizerSpec, SectionSpec, eta_eps, phi_det_coefficient
 from .grid import GridFunction, GridSpec, second_differences
 from .grushin import SolveReport, assemble_operator, boundary_array, boundary_rhs, section_node_mask
 
-__all__ = ["MaConfig", "ma_solve_dirichlet", "ma_residual", "comparison_check"]
-
-
-@dataclass(frozen=True)
-class MaConfig:
-    """Fixed-point iteration controls.
-
-    Convergence requires both the applied sup-update <= fixed_point_tolerance
-    and the identity residual sup |lap u - sqrt(...)| <= 10x that tolerance.
-    Damping starts at 1, halves whenever the fixed-point residual increases,
-    and never drops below 0.125.
-    """
-
-    max_iterations: int = 3000
-    fixed_point_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not self.fixed_point_tolerance > 0:
-            raise ValueError("fixed_point_tolerance must be > 0")
+__all__ = ["ma_solve_dirichlet", "ma_residual", "comparison_check"]
 
 
 def ma_solve_dirichlet(
@@ -50,14 +28,23 @@ def ma_solve_dirichlet(
     alpha: float,
     g,
     eps: float | None = None,
-    cfg: MaConfig | None = None,
+    tol: float = 1e-10,
+    max_iterations: int = 3000,
 ) -> tuple[GridFunction, SolveReport]:
     """Solve det_h u = eta_eps(x1) with u = g on the boundary nodes.
 
     Warm start from lap P = 2 sqrt(f) (the Laplacian lower bound of convex
     solutions); eps defaults to 2 hx as in the degenerate-operator solver.
+
+    Convergence requires both the applied sup-update <= tol and the identity
+    residual sup |lap u - sqrt(...)| <= 10 tol, within ``max_iterations``
+    sweeps. Damping starts at 1, halves whenever the fixed-point residual
+    increases, and never drops below 0.125.
     """
-    cfg = cfg or MaConfig()
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     if eps is None:
         eps = 2.0 * spec.hx
     g_arr = boundary_array(spec, g)
@@ -75,14 +62,13 @@ def ma_solve_dirichlet(
     u = np.array(g_arr)
     u[1:-1, 1:-1] = poisson(2.0 * np.sqrt(f))
 
-    tol = cfg.fixed_point_tolerance
     damping = 1.0
     update_sup = np.inf
     fp_prev = np.inf
     streak = 0
     iterations = 0
     converged = False
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         a11, a22, a12 = second_differences(spec, u)
         rhs = np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2 + 4.0 * f)
         identity_residual = float(np.max(np.abs(a11 + a22 - rhs)))
@@ -160,7 +146,7 @@ def comparison_check(
     if not np.any(mask):
         raise ValueError("no grid nodes inside the comparison section")
     X1, X2 = u.spec.meshgrid()
-    pts = np.stack([X1[mask], X2[mask]], axis=-1)
-    upper = np.sqrt(1.0 / phi_det_coefficient(alpha)) * (phi_eval(alpha, pts) - tau) + ustar_boundary_max
+    phi = phi_eval(alpha, X1[mask], X2[mask])
+    upper = np.sqrt(1.0 / phi_det_coefficient(alpha)) * (phi - tau) + ustar_boundary_max
     vals = u.values[mask]
     return bool(np.all(vals >= -tol) and np.all(vals <= upper + tol))

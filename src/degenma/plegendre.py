@@ -16,35 +16,16 @@ noise, and columns quadratic in x2 transform exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import GridFunction, GridSpec, interp_bilinear, second_differences
+from .grid import GridFunction, GridSpec, interp_bilinear, second_differences, write_csv
 
 __all__ = [
-    "DualGridFunction",
     "forward_transform",
     "involution_check",
     "grushin_residual",
     "write_dual_csv",
 ]
-
-
-@dataclass(frozen=True)
-class DualGridFunction:
-    """u* on a uniform (p1, p2) grid; p1 nodes coincide with the input x1 nodes.
-
-    ``p2_range`` is the common slope interval [max over columns of min D2u,
-    min over columns of max D2u] the dual grid spans.
-    """
-
-    spec: GridSpec
-    values: np.ndarray
-    p2_range: tuple[float, float]
-
-    def as_grid_function(self) -> GridFunction:
-        return GridFunction(self.spec, self.values)
 
 
 def _x2_gradient(u: GridFunction) -> np.ndarray:
@@ -82,9 +63,13 @@ def _column_resample(
 _MONOTONE_TOL = 1e-12
 
 
-def forward_transform(u: GridFunction, np2: int | None = None) -> DualGridFunction:
-    """Transform a field strictly convex in x2 into its dual on ``np2`` uniform
-    p2 nodes (defaults to the input's ny)."""
+def forward_transform(u: GridFunction, np2: int | None = None) -> GridFunction:
+    """Transform a field strictly convex in x2 into its dual u*(p1, p2) on
+    ``np2`` uniform p2 nodes (defaults to the input's ny).
+
+    The p1 nodes are the input's x1 nodes; the p2 range is the common slope
+    interval [max over columns of min D2u, min over columns of max D2u].
+    """
     spec = u.spec
     np2 = spec.ny if np2 is None else int(np2)
     if np2 < 3:
@@ -109,7 +94,7 @@ def forward_transform(u: GridFunction, np2: int | None = None) -> DualGridFuncti
     for i in range(spec.nx):
         dual[i] = _column_resample(p[i], w[i], y, targets)
     dual_spec = GridSpec(spec.x_lo, spec.x_hi, lo, hi, spec.nx, np2)
-    return DualGridFunction(dual_spec, dual, (lo, hi))
+    return GridFunction(dual_spec, dual)
 
 
 def involution_check(u: GridFunction, np2: int | None = None) -> float:
@@ -118,18 +103,13 @@ def involution_check(u: GridFunction, np2: int | None = None) -> float:
     The dual of the dual is compared against bilinear interpolation of the
     input at the back-transformed nodes.
     """
-    first = forward_transform(u, np2)
-    second = forward_transform(first.as_grid_function(), u.spec.ny)
-    back = second.as_grid_function()
-    xs = back.spec.x_nodes()
+    back = forward_transform(forward_transform(u, np2), u.spec.ny)
     # Slope noise can push the recovered x2 range marginally past the original.
     ys = np.clip(back.spec.y_nodes(), u.spec.y_lo, u.spec.y_hi)
-    X1, X2 = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X1, X2], axis=-1)
-    return float(np.max(np.abs(back.values - interp_bilinear(u, pts))))
+    return float(np.max(np.abs(back.values - interp_bilinear(u, back.spec.x_nodes()[:, None], ys[None, :]))))
 
 
-def grushin_residual(ustar: DualGridFunction, alpha: float, exclude_k: int = 2) -> float:
+def grushin_residual(ustar: GridFunction, alpha: float, exclude_k: int = 2) -> float:
     """Sup of |d11 u* + |p1|^alpha d22 u*| over interior dual nodes, skipping
     ``exclude_k`` columns on each side of p1 = 0, where the dual is not C^2."""
     if exclude_k < 1:
@@ -144,8 +124,6 @@ def grushin_residual(ustar: DualGridFunction, alpha: float, exclude_k: int = 2) 
     return float(np.max(np.abs(res)))
 
 
-def write_dual_csv(ustar: DualGridFunction, path) -> None:
+def write_dual_csv(ustar: GridFunction, path) -> None:
     """CSV serialization with header p1,p2,ustar (same layout as GridFunction)."""
-    from .grid import write_csv
-
-    write_csv(ustar.as_grid_function(), path, header=("p1", "p2", "ustar"))
+    write_csv(ustar, path, header=("p1", "p2", "ustar"))

@@ -1,11 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from degenma import analytic as an
-from degenma import grid as gr
 
 
 # ---------------------------------------------------------------------------
@@ -14,9 +16,9 @@ from degenma import grid as gr
 
 
 def test_family_eval_examples():
-    assert an.family_eval(an.FamilyParams(0.0, 1.0), (0.0, 0.0)) == 0.0
-    assert an.family_eval(an.FamilyParams(0.0, 1.0), (1.0, 1.0)) == pytest.approx(1.0)
-    assert an.family_eval(an.FamilyParams(2.0, 1.0, 1.0), (1.0, 0.0)) == pytest.approx(
+    assert an.family_eval(an.FamilyParams(0.0, 1.0), 0.0, 0.0) == 0.0
+    assert an.family_eval(an.FamilyParams(0.0, 1.0), 1.0, 1.0) == pytest.approx(1.0)
+    assert an.family_eval(an.FamilyParams(2.0, 1.0, 1.0), 1.0, 0.0) == pytest.approx(
         1.0 / 12.0 + 0.5
     )
 
@@ -29,27 +31,27 @@ def test_family_params_validation():
 
 
 def test_family_hessian_examples():
-    u11, u12, u22 = an.family_hessian(an.FamilyParams(1.0, 2.0), (0.5, 7.0))
+    u11, u12, u22 = an.family_hessian(an.FamilyParams(1.0, 2.0), 0.5, 7.0)
     assert (u11, u12, u22) == (pytest.approx(1.0), 0.0, pytest.approx(0.5))
     assert u11 * u22 - u12**2 == pytest.approx(0.5)
 
-    u11, u12, u22 = an.family_hessian(an.FamilyParams(0.0, 3.0, 2.0), (-0.7, 0.2))
+    u11, u12, u22 = an.family_hessian(an.FamilyParams(0.0, 3.0, 2.0), -0.7, 0.2)
     assert u11 * u22 - u12**2 == pytest.approx(1.0, abs=1e-13)
 
-    u11, u12, u22 = an.family_hessian(an.FamilyParams(2.0, 1.0), (0.0, 0.0))
+    u11, u12, u22 = an.family_hessian(an.FamilyParams(2.0, 1.0), 0.0, 0.0)
     assert (u11, u12, u22) == (0.0, 0.0, 1.0)
 
     with pytest.raises(ValueError):
-        an.family_hessian(an.FamilyParams(-0.5, 1.0), (0.0, 1.0))
+        an.family_hessian(an.FamilyParams(-0.5, 1.0), 0.0, 1.0)
 
 
 def test_family_det_residual_examples():
-    assert abs(an.family_det_residual(an.FamilyParams(1.0, 2.0, -0.3), (0.3, -2.0))) <= 1e-12
-    assert abs(an.family_det_residual(an.FamilyParams(2.0, 5.0, -1.0), (1.0, 1.0))) <= 1e-12
+    assert abs(an.family_det_residual(an.FamilyParams(1.0, 2.0, -0.3), 0.3, -2.0)) <= 1e-12
+    assert abs(an.family_det_residual(an.FamilyParams(2.0, 5.0, -1.0), 1.0, 1.0)) <= 1e-12
     # perturbing the x2^2 coefficient by +0.1 bumps the determinant by
     # 2 * 0.1 * u11: for alpha=0, a=1, b=0 at (1, 0) that is det = 1.2
     params = an.FamilyParams(0.0, 1.0)
-    u11, u12, u22 = an.family_hessian(params, (1.0, 0.0))
+    u11, u12, u22 = an.family_hessian(params, 1.0, 0.0)
     perturbed = u11 * (u22 + 0.2) - u12**2 - 1.0
     assert perturbed == pytest.approx(0.2)
 
@@ -66,13 +68,13 @@ def test_family_det_residual_examples():
 )
 def test_family_identity_property(alpha, a, b, c2, x1, x2, sign):
     params = an.FamilyParams(alpha, a, b, (0.5, -0.25, c2))
-    assert abs(an.family_det_residual(params, (sign * x1, x2))) <= 1e-12
+    assert abs(an.family_det_residual(params, sign * x1, x2)) <= 1e-12
 
 
 def test_dual_closed_form_examples():
-    assert an.dual_closed_form(an.FamilyParams(0.0, 1.0), (1.0, 1.0)) == pytest.approx(0.0)
-    assert an.dual_closed_form(an.FamilyParams(1.7, 2.2, 0.4), (0.0, 0.0)) == 0.0
-    assert an.dual_closed_form(an.FamilyParams(2.0, 1.0), (1.0, 2.0)) == pytest.approx(
+    assert an.dual_closed_form(an.FamilyParams(0.0, 1.0), 1.0, 1.0) == pytest.approx(0.0)
+    assert an.dual_closed_form(an.FamilyParams(1.7, 2.2, 0.4), 0.0, 0.0) == 0.0
+    assert an.dual_closed_form(an.FamilyParams(2.0, 1.0), 1.0, 2.0) == pytest.approx(
         -1.0 / 12.0 + 2.0
     )
 
@@ -88,11 +90,9 @@ def test_dual_solves_degenerate_equation_in_closed_form():
 
 
 def test_dual_fd_residual_refines():
-    f = an.dual_callable(an.FamilyParams(2.0, 1.0, 0.5))
-    pts = np.stack(
-        np.meshgrid(np.linspace(0.25, 1.0, 7), np.linspace(-1.0, 1.0, 7), indexing="ij"), axis=-1
-    )
-    res = [np.max(np.abs(an.grushin_fd(f, 2.0, pts, h))) for h in (1 / 32, 1 / 64)]
+    f = functools.partial(an.dual_closed_form, an.FamilyParams(2.0, 1.0, 0.5))
+    P1, P2 = np.meshgrid(np.linspace(0.25, 1.0, 7), np.linspace(-1.0, 1.0, 7), indexing="ij")
+    res = [np.max(np.abs(an.grushin_fd(f, 2.0, P1, P2, h))) for h in (1 / 32, 1 / 64)]
     assert res[1] <= 0.3 * res[0] + 1e-12
 
 
@@ -102,12 +102,12 @@ def test_dual_fd_residual_refines():
 
 
 def test_phi_and_coefficient():
-    assert an.phi_eval(1.3, (0.0, 0.0)) == 0.0
-    assert an.phi_eval(2.0, (1.0, 1.0)) == pytest.approx(2.0)
+    assert an.phi_eval(1.3, 0.0, 0.0) == 0.0
+    assert an.phi_eval(2.0, 1.0, 1.0) == pytest.approx(2.0)
     assert an.phi_det_coefficient(0.0) == pytest.approx(4.0)
     # direct hessian of x1^2 + x2^2 has determinant 4
     h = 1e-5
-    f = an.phi_callable(0.0)
+    f = functools.partial(an.phi_eval, 0.0)
     d11 = (f(1.0 + h, 0.3) - 2 * f(1.0, 0.3) + f(1.0 - h, 0.3)) / h**2
     d22 = (f(1.0, 0.3 + h) - 2 * f(1.0, 0.3) + f(1.0, 0.3 - h)) / h**2
     assert d11 * d22 == pytest.approx(4.0, rel=1e-6)
@@ -116,10 +116,10 @@ def test_phi_and_coefficient():
 
 def test_section_membership_examples():
     s = an.SectionSpec(0.0, (0.0, 0.0), 1.0)
-    assert an.section_contains(s, (0.5, 0.5))
-    assert not an.section_contains(s, (1.0, 0.0))  # boundary, strict inequality
+    assert an.section_contains(s, 0.5, 0.5)
+    assert not an.section_contains(s, 1.0, 0.0)  # boundary, strict inequality
     for alpha in (-0.5, 0.0, 2.0):
-        assert an.section_contains(an.SectionSpec(alpha, (0.0, 0.0), 0.3), (0.0, 0.0))
+        assert an.section_contains(an.SectionSpec(alpha, (0.0, 0.0), 0.3), 0.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -133,19 +133,19 @@ def test_section_membership_examples():
 def test_section_reflection_symmetry_on_the_line(alpha, c2, t, y1, y2):
     # center on {x1 = 0}: membership is even in y1
     s = an.SectionSpec(alpha, (0.0, c2), t)
-    assert an.section_contains(s, (y1, y2)) == an.section_contains(s, (-y1, y2))
+    assert an.section_contains(s, y1, y2) == an.section_contains(s, -y1, y2)
 
 
 def test_section_bbox_matches_membership():
     s = an.SectionSpec(2.0, (0.3, -0.2), 0.7)
     x_lo, x_hi, y_lo, y_hi = an.section_bbox(s)
     eps = 1e-6
-    assert not an.section_contains(s, (x_hi + eps, -0.2))
-    assert an.section_contains(s, (x_hi - 1e-3, -0.2))
+    assert not an.section_contains(s, x_hi + eps, -0.2)
+    assert an.section_contains(s, x_hi - 1e-3, -0.2)
     assert y_hi == pytest.approx(-0.2 + np.sqrt(0.7))
     pairs = an.section_sample_pairs(s, 50, np.random.default_rng(0))
     assert pairs.shape == (50, 2, 2)
-    assert np.all(an.section_contains(s, pairs.reshape(-1, 2)))
+    assert np.all(an.section_contains(s, pairs[..., 0], pairs[..., 1]))
 
 
 def test_mu_alpha_measure_examples():
@@ -236,7 +236,7 @@ def test_eta_eps_bridge_monotone(alpha, eps):
 
 
 def test_scale_pullback_identity_at_r_one():
-    f = an.family_callable(an.FamilyParams(1.0, 2.0, 0.3))
+    f = functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.3))
     g = an.scale_pullback(f, 1.0, 1.0)
     pts = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
     np.testing.assert_allclose(g(pts[:, 0], pts[:, 1]), f(pts[:, 0], pts[:, 1]), rtol=0, atol=1e-14)
@@ -245,7 +245,7 @@ def test_scale_pullback_identity_at_r_one():
 def test_scale_pullback_fixes_pure_family_members():
     # with b = 0 and ell = 0 both monomials scale by r, so u_r = u exactly
     for alpha in (0.0, 2.0):
-        f = an.family_callable(an.FamilyParams(alpha, 1.7))
+        f = functools.partial(an.family_eval, an.FamilyParams(alpha, 1.7))
         for r in (0.5, 4.0):
             g = an.scale_pullback(f, r, alpha)
             pts = np.random.default_rng(1).uniform(-1, 1, size=(20, 2))
@@ -262,21 +262,12 @@ def test_scale_pullback_chain_rule_identity():
         for r in (0.5, 4.0):
             ur = an.scale_pullback(probe, r, alpha)
             lam1, lam2 = r ** (1.0 / (2.0 + alpha)), np.sqrt(r)
-            lhs = np.asarray(an.grushin_fd(ur, alpha, pts, h))
-            scaled = np.stack([lam1 * pts[:, 0], lam2 * pts[:, 1]], axis=-1)
-            rhs = r ** (-alpha / (2.0 + alpha)) * np.asarray(an.grushin_fd(probe, alpha, scaled, h))
+            lhs = an.grushin_fd(ur, alpha, pts[:, 0], pts[:, 1], h)
+            scaled = an.grushin_fd(probe, alpha, lam1 * pts[:, 0], lam2 * pts[:, 1], h)
+            rhs = r ** (-alpha / (2.0 + alpha)) * scaled
             assert np.max(np.abs(lhs - rhs)) <= 1e-6
             # the probe is not in the operator kernel, so the identity is exercised
-            assert np.max(np.abs(np.asarray(an.grushin_fd(probe, alpha, pts, h)))) > 0.1
-
-
-def test_scale_pullback_grid_input_domain_error():
-    spec = gr.GridSpec(-1, 1, -1, 1, 17, 17)
-    u = gr.sample(spec, lambda X, Y: X**2 + Y**2)
-    g = an.scale_pullback(u, 4.0, 0.0)
-    with pytest.raises(ValueError):
-        g(0.9, 0.9)  # maps to (1.8, 1.8), outside the grid
-    assert an.scale_pullback(u, 1.0, 0.0)(0.5, 0.5) == pytest.approx(0.5, abs=1e-3)
+            assert np.max(np.abs(an.grushin_fd(probe, alpha, pts[:, 0], pts[:, 1], h))) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +311,14 @@ def test_ode_blowup_guard_truncates():
 
 
 def test_ode_solution_eval(traj_alpha2):
-    assert an.ode_solution_eval(traj_alpha2, (0.0, 0.3)) == 0.0
-    assert an.ode_solution_eval(traj_alpha2, (1.0, 0.0)) == pytest.approx(1.0)
+    assert an.ode_solution_eval(traj_alpha2, 0.0, 0.3) == 0.0
+    assert an.ode_solution_eval(traj_alpha2, 1.0, 0.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        an.ode_solution_eval(traj_alpha2, (1.0, 0.7))
+        an.ode_solution_eval(traj_alpha2, 1.0, 0.7)
 
     # brute-force determinant residual at (1, 0.1) with h = 1e-4
     h = 1e-4
-    def u(x1, x2):
-        return an.ode_solution_eval(traj_alpha2, np.stack(np.broadcast_arrays(x1, x2), -1))
+    u = functools.partial(an.ode_solution_eval, traj_alpha2)
     x0, y0 = 1.0, 0.1
     u11 = (u(x0 + h, y0) - 2 * u(x0, y0) + u(x0 - h, y0)) / h**2
     u22 = (u(x0, y0 + h) - 2 * u(x0, y0) + u(x0, y0 - h)) / h**2
@@ -343,14 +333,14 @@ def test_ode_solution_eval(traj_alpha2):
 
 def test_barrier_examples():
     case1 = an.BarrierSpec("case1", 10.0, 2.0)
-    assert an.barrier_L_residual(case1, (2.0, 0.5)) == pytest.approx(-30.0)
-    assert an.barrier_L_residual(case1, (1.5, 0.0)) == 0.0
+    assert an.barrier_L_residual(case1, 2.0, 0.5) == pytest.approx(-30.0)
+    assert an.barrier_L_residual(case1, 1.5, 0.0) == 0.0
     case2 = an.BarrierSpec("case2", 8.0, -0.5)
-    assert an.barrier_L_residual(case2, (1.0, 0.7)) == pytest.approx(0.0, abs=1e-14)
+    assert an.barrier_L_residual(case2, 1.0, 0.7) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
-        an.barrier_L_residual(case1, (0.5, 0.5))
+        an.barrier_L_residual(case1, 0.5, 0.5)
     with pytest.raises(ValueError):
-        an.barrier_L_residual(case1, (2.0, 1.0))  # p2 = 1 excluded
+        an.barrier_L_residual(case1, 2.0, 1.0)  # p2 = 1 excluded
 
 
 def test_barrier_spec_validation():
@@ -367,11 +357,11 @@ def test_barrier_spec_validation():
 def test_barrier_nonpositive_on_rectangles():
     for variant, alpha in (("case1", 2.0), ("case1", 0.0), ("case2", -0.5)):
         (lo, hi), _ = an.BarrierSpec(variant, 1.0, alpha).rectangle
-        p1 = np.linspace(lo, hi, 100)
-        p2 = np.linspace(0.0, 1.0, 100, endpoint=False)
-        pts = np.stack(np.meshgrid(p1, p2, indexing="ij"), axis=-1)
+        P1, P2 = np.meshgrid(
+            np.linspace(lo, hi, 100), np.linspace(0.0, 1.0, 100, endpoint=False), indexing="ij"
+        )
         for c in (1.0, 10.0, 100.0):
-            res = np.asarray(an.barrier_L_residual(an.BarrierSpec(variant, c, alpha), pts))
+            res = an.barrier_L_residual(an.BarrierSpec(variant, c, alpha), P1, P2)
             assert np.max(res) <= 1e-13
 
 
@@ -391,3 +381,48 @@ def test_barrier_roots_against_independent_rerun():
     assert np.all(np.diff(p / 16 + p**3 / 3) > 0)
     with pytest.raises(ValueError):
         an.barrier_root("case9")
+
+
+# ---------------------------------------------------------------------------
+# calling convention: coordinates in, broadcasting like numpy
+# ---------------------------------------------------------------------------
+
+coords = arrays(np.float64, st.integers(1, 6), elements=st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(-0.9, 4.0),
+    a=st.floats(0.3, 3.0),
+    b=st.floats(-2.0, 2.0),
+    center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    height=st.floats(0.05, 2.0),
+    x1=coords,
+    x2=coords,
+)
+def test_closed_forms_agree_on_arrays_and_on_float_pairs(alpha, a, b, center, height, x1, x2):
+    # a column of x1 against a row of x2 broadcasts to the full table of pairs
+    X1, X2 = x1[:, None], x2[None, :]
+    fam = an.FamilyParams(alpha, a, b, (0.5, -0.25, 0.75))
+    spec = an.SectionSpec(alpha, center, height)
+    for f in (
+        functools.partial(an.family_eval, fam),
+        functools.partial(an.dual_closed_form, fam),
+        functools.partial(an.phi_eval, alpha),
+    ):
+        table = f(X1, X2)
+        assert table.shape == (len(x1), len(x2))
+        pairwise = [[f(float(p), float(q)) for q in x2] for p in x1]
+        assert all(isinstance(v, float) for row in pairwise for v in row)
+        # numpy's vectorized power may differ from the scalar one in the last bits
+        np.testing.assert_allclose(table, pairwise, rtol=1e-13, atol=1e-13)
+
+    inside = an.section_contains(spec, X1, X2)
+    assert inside.shape == (len(x1), len(x2))
+    c1, c2 = center
+    g1, g2 = an.phi_grad(alpha, c1, c2)
+    gap = an.phi_eval(alpha, c1, c2) + g1 * (X1 - c1) + g2 * (X2 - c2) + height - an.phi_eval(alpha, X1, X2)
+    for i, p in enumerate(x1):
+        for j, q in enumerate(x2):
+            if abs(gap[i, j]) > 1e-9:  # away from the section boundary
+                assert an.section_contains(spec, float(p), float(q)) == inside[i, j]

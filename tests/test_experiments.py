@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -7,11 +8,9 @@ import pytest
 from degenma import analytic as an
 from degenma import cli
 from degenma import grid as gr
-from degenma import plegendre as pl
 from degenma.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
-    default_config,
     fit_family_from_dual,
     load_config_file,
     make_config,
@@ -68,7 +67,7 @@ def test_override_precedence(tmp_path):
     cfg = make_config("barrier-check", config_path=path, alpha=0.5)
     assert cfg.alpha == 0.5  # flag beats file
     assert cfg.seed == 5  # file beats default
-    assert default_config("barrier-check").alpha == 2.0
+    assert make_config("barrier-check").alpha == 2.0
 
 
 def test_harnack_scan_row_count():
@@ -84,8 +83,7 @@ def test_liouville_fit_on_exact_dual_bypassing_solvers():
     # dual of the family (a, b) carries p2-curvature a and cross term -a*b
     a, b = 2.0, 0.5
     spec = gr.GridSpec(-1.0, 1.0, -0.5, 0.5, 65, 33)
-    vals = gr.sample(spec, an.dual_callable(an.FamilyParams(1.0, a, -a * b))).values
-    dual = pl.DualGridFunction(spec, vals, (-0.5, 0.5))
+    dual = gr.sample(spec, functools.partial(an.dual_closed_form, an.FamilyParams(1.0, a, -a * b)))
     a_hat, b_hat, stdev = fit_family_from_dual(dual, exclude_k=2)
     assert a_hat == pytest.approx(a, abs=1e-9)
     assert b_hat == pytest.approx(b, abs=1e-9)
@@ -203,7 +201,25 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["save_fields = ture", "eps_rule = abc", "eps_rule = -0.1", "n_seeds = 0"]
+    "line",
+    [
+        "save_fields = ture",
+        "eps_rule = abc",
+        "eps_rule = -0.1",
+        "n_seeds = 0",
+        "gamma = 1.5",
+        "gamma = 0",
+        "resolution = 0",
+        "resolution = 3",
+        "tau = 0",
+        "n_pairs = 0",
+        "exclude_k = 0",
+        "np2 = 2",
+        "max_iterations = 0",
+        "fp_tolerance = 0",
+        "ode_step = 0",
+        "ode_t_max = -0.5",
+    ],
 )
 def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, line):
     path = tmp_path / "bad.cfg"
@@ -211,6 +227,17 @@ def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, line):
     assert cli.main(["harnack-scan", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "degenma: error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_of_range_gamma_flag_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["holder-scan", "--gamma", "1.5", "--out", str(tmp_path / "out")]) == 2
+    assert "gamma must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_default_config_is_valid():
+    for name in EXPERIMENTS:
+        assert make_config(name).experiment == name
 
 
 def test_cli_help_documents_metrics_columns(capsys):

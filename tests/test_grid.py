@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenma import grid as gr
 
@@ -90,17 +92,17 @@ def test_holder_seminorm_examples():
 def test_interp_bilinear():
     spec = unit_spec(17)
     u = gr.sample(spec, lambda X, Y: X * Y)
-    assert gr.interp_bilinear(u, (0.5, 0.5)) == pytest.approx(0.25, abs=1e-14)
+    assert gr.interp_bilinear(u, 0.5, 0.5) == pytest.approx(0.25, abs=1e-14)
     # node value reproduced
-    assert gr.interp_bilinear(u, (spec.x_nodes()[3], spec.y_nodes()[5])) == pytest.approx(
+    assert gr.interp_bilinear(u, spec.x_nodes()[3], spec.y_nodes()[5]) == pytest.approx(
         u.values[3, 5], abs=1e-14
     )
     # quadratic at a cell midpoint picks up the h^2/4 average offset
     q = gr.sample(spec, lambda X, Y: X**2)
     x_mid = spec.x_nodes()[4] + spec.hx / 2
-    assert gr.interp_bilinear(q, (x_mid, 0.0)) == pytest.approx(x_mid**2 + spec.hx**2 / 4)
+    assert gr.interp_bilinear(q, x_mid, 0.0) == pytest.approx(x_mid**2 + spec.hx**2 / 4)
     with pytest.raises(ValueError):
-        gr.interp_bilinear(u, (1.5, 0.0))
+        gr.interp_bilinear(u, 1.5, 0.0)
 
 
 def test_csv_round_trip(tmp_path):
@@ -114,3 +116,22 @@ def test_csv_round_trip(tmp_path):
     v = gr.read_csv(path)
     assert v.spec == spec
     np.testing.assert_array_equal(v.values, u.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(3, 40),
+    ny=st.integers(3, 40),
+    x_lo=st.floats(-5.0, 5.0),
+    width=st.floats(0.1, 10.0),
+    y_lo=st.floats(-5.0, 5.0),
+    height=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_interp_bilinear_returns_node_values_exactly(nx, ny, x_lo, width, y_lo, height, seed):
+    spec = gr.GridSpec(x_lo, x_lo + width, y_lo, y_lo + height, nx, ny)
+    u = gr.GridFunction(spec, np.random.default_rng(seed).normal(size=(nx, ny)))
+    X1, X2 = spec.meshgrid()
+    np.testing.assert_array_equal(gr.interp_bilinear(u, X1, X2), u.values)
+    # one coordinate array per axis broadcasts to the same table
+    np.testing.assert_array_equal(gr.interp_bilinear(u, spec.x_nodes()[:, None], spec.y_nodes()), u.values)

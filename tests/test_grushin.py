@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ def test_constant_boundary_data_reproduced():
 
 def test_quadratic_dual_exact_for_alpha_zero():
     # the five-point stencil is exact on quadratics, so only solver roundoff remains
-    g = an.dual_callable(an.FamilyParams(0.0, 1.3, 0.7, (0.2, -0.1, 0.3)))
+    g = functools.partial(an.dual_closed_form, an.FamilyParams(0.0, 1.3, 0.7, (0.2, -0.1, 0.3)))
     spec = square(129)
     u, rep = gs.solve_dirichlet(spec, 0.0, g)
     assert np.max(np.abs(u.values - gr.sample(spec, g).values)) <= 1e-9
@@ -59,7 +60,7 @@ def test_symmetry_inherited_from_even_data():
 
 
 def test_manufactured_convergence_alpha_two():
-    g = an.dual_callable(an.FamilyParams(2.0, 1.0))
+    g = functools.partial(an.dual_closed_form, an.FamilyParams(2.0, 1.0))
     errs = []
     for n in (65, 129):
         spec = square(n)
@@ -84,15 +85,16 @@ def test_max_principle_margin_on_oscillatory_data():
 def test_boundary_array_forms_and_validation():
     spec = square(17)
     arr = gs.boundary_array(spec, lambda X, Y: X + Y)
-    gf = gr.sample(spec, lambda X, Y: X + Y)
-    np.testing.assert_allclose(gs.boundary_array(spec, gf), arr)
-    np.testing.assert_allclose(gs.boundary_array(spec, arr), arr)
-    bad = np.array(arr)
-    bad[0, 0] = np.nan
+    np.testing.assert_array_equal(arr, gr.sample(spec, lambda X, Y: X + Y).values)
+    # a scalar-valued callable is broadcast to every node
+    np.testing.assert_array_equal(gs.boundary_array(spec, lambda X, Y: 2.5), np.full((17, 17), 2.5))
     with pytest.raises(ValueError):
-        gs.boundary_array(spec, bad)
-    with pytest.raises(ValueError):
-        gs.boundary_array(spec, np.zeros((3, 3)))
+        gs.boundary_array(spec, lambda X, Y: np.where((X == -1.0) & (Y == -1.0), np.nan, X + Y))
+    # only callables: sampled arrays and grid functions are not boundary data
+    with pytest.raises(TypeError, match="callable"):
+        gs.boundary_array(spec, arr)
+    with pytest.raises(TypeError, match="callable"):
+        gs.boundary_array(spec, gr.sample(spec, lambda X, Y: X + Y))
 
 
 def test_harnack_quotient_examples():

@@ -1,4 +1,5 @@
-import dataclasses
+import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -8,16 +9,21 @@ from degenma import grid as gr
 from degenma import ma
 
 
+TOL = 1e-10  # the default tol of ma_solve_dirichlet
+
+
 def square(n=65):
     return gr.GridSpec(-1.0, 1.0, -1.0, 1.0, n, n)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ma.MaConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        ma.MaConfig(fixed_point_tolerance=0.0)
-    assert [f.name for f in dataclasses.fields(ma.MaConfig)] == ["max_iterations", "fixed_point_tolerance"]
+    zero = lambda X, Y: 0.0 * X
+    with pytest.raises(ValueError, match="max_iterations"):
+        ma.ma_solve_dirichlet(square(9), 1.0, zero, max_iterations=0)
+    with pytest.raises(ValueError, match="tol"):
+        ma.ma_solve_dirichlet(square(9), 1.0, zero, tol=0.0)
+    params = inspect.signature(ma.ma_solve_dirichlet).parameters
+    assert (params["tol"].default, params["max_iterations"].default) == (TOL, 3000)
 
 
 def test_quadratic_data_exact_for_alpha_zero():
@@ -27,7 +33,7 @@ def test_quadratic_data_exact_for_alpha_zero():
     assert rep.converged
     assert np.max(np.abs(u.values - gr.sample(spec, g).values)) <= 1e-8
     assert rep.extras["det_residual"] <= 1e-8
-    delta = 10.0 * ma.MaConfig().fixed_point_tolerance
+    delta = 10.0 * TOL
     assert rep.extras["min_d11"] >= -delta
     assert rep.extras["min_d22"] >= -delta
     assert rep.extras["min_det"] >= -delta
@@ -47,22 +53,22 @@ def test_zero_boundary_symmetry_and_subsolution_bound():
 
 def test_fixed_point_identity_at_convergence():
     spec = square()
-    g = an.family_callable(an.FamilyParams(1.0, 2.0, 0.5))
+    g = functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.5))
     u, rep = ma.ma_solve_dirichlet(spec, 1.0, g)
     assert rep.converged
-    assert rep.extras["identity_residual"] <= 10.0 * ma.MaConfig().fixed_point_tolerance
-    assert rep.final_residual <= ma.MaConfig().fixed_point_tolerance
+    assert rep.extras["identity_residual"] <= 10.0 * TOL
+    assert rep.final_residual <= TOL
 
 
 def test_family_convergence_alpha_one():
-    g = an.family_callable(an.FamilyParams(1.0, 2.0, 0.5))
+    g = functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.5))
     errs = []
     for n in (65, 129):
         spec = square(n)
         u, rep = ma.ma_solve_dirichlet(spec, 1.0, g)
         assert rep.converged
         errs.append(np.max(np.abs(u.values - gr.sample(spec, g).values)))
-        delta = 10.0 * ma.MaConfig().fixed_point_tolerance
+        delta = 10.0 * TOL
         assert rep.extras["min_d11"] >= -delta
         assert rep.extras["min_d22"] >= -delta
         assert rep.extras["min_det"] >= -delta
@@ -71,9 +77,7 @@ def test_family_convergence_alpha_one():
 
 def test_non_convergence_is_reported_not_raised():
     spec = square(33)
-    _, rep = ma.ma_solve_dirichlet(
-        spec, 2.0, lambda X, Y: 0.0 * X, cfg=ma.MaConfig(max_iterations=3)
-    )
+    _, rep = ma.ma_solve_dirichlet(spec, 2.0, lambda X, Y: 0.0 * X, max_iterations=3)
     assert not rep.converged
     assert rep.iterations == 3
 
@@ -90,7 +94,7 @@ def test_ma_residual_family_refines():
     sups = []
     for n in (33, 65):
         spec = square(n)
-        u = gr.sample(spec, an.family_callable(an.FamilyParams(2.0, 1.0)))
+        u = gr.sample(spec, functools.partial(an.family_eval, an.FamilyParams(2.0, 1.0)))
         res = ma.ma_residual(u, 2.0, eps=2.0 * spec.hx)
         sups.append(np.nanmax(np.abs(res)))
     assert sups[1] < sups[0]
@@ -114,7 +118,7 @@ def test_monotonicity_in_the_right_hand_side():
     # eta for alpha=2 is <= 1 = eta for alpha=0 on [-1,1]^2, so the alpha=2
     # solution with zero data lies above the alpha=0 solution
     spec = square(49)
-    u_small_f, rep1 = ma.ma_solve_dirichlet(spec, 2.0, lambda X, Y: 0.0 * X, cfg=ma.MaConfig(max_iterations=8000, fixed_point_tolerance=1e-8))
+    u_small_f, rep1 = ma.ma_solve_dirichlet(spec, 2.0, lambda X, Y: 0.0 * X, max_iterations=8000, tol=1e-8)
     u_big_f, rep2 = ma.ma_solve_dirichlet(spec, 0.0, lambda X, Y: 0.0 * X)
     assert rep1.converged and rep2.converged
     assert np.min(u_small_f.values - u_big_f.values) >= -1e-7
@@ -125,10 +129,10 @@ def test_comparison_check_plug_in_and_violation():
     tau = 0.05
     spec = gr.GridSpec(-1.0, 1.0, -0.5, 0.5, 129, 65)
     c = an.phi_det_coefficient(alpha)
-    w = gr.sample(spec, lambda X, Y: np.sqrt(1 / c) * an.phi_eval(alpha, np.stack(np.broadcast_arrays(X, Y), -1)))
+    w = gr.sample(spec, lambda X, Y: np.sqrt(1 / c) * an.phi_eval(alpha, X, Y))
     boundary_max = np.sqrt(1 / c) * tau
     assert ma.comparison_check(w, alpha, tau, boundary_max)
-    big = gr.sample(spec, lambda X, Y: 10.0 * an.phi_eval(alpha, np.stack(np.broadcast_arrays(X, Y), -1)))
+    big = gr.sample(spec, lambda X, Y: 10.0 * an.phi_eval(alpha, X, Y))
     assert not ma.comparison_check(big, alpha, tau, boundary_max)
     with pytest.raises(ValueError):
         ma.comparison_check(w, alpha, 5.0, 1.0)  # section larger than the grid

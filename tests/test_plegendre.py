@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -21,21 +23,22 @@ def test_pure_parabola_transforms_exactly():
 
 def test_family_alpha_zero_matches_known_dual():
     spec = gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 33, 33)
-    u = gr.sample(spec, an.family_callable(an.FamilyParams(0.0, 1.0)))
+    u = gr.sample(spec, functools.partial(an.family_eval, an.FamilyParams(0.0, 1.0)))
     dual = pl.forward_transform(u)
     exact = gr.sample(dual.spec, lambda P1, P2: 0.5 * (-(P1**2) + P2**2))
     assert np.max(np.abs(dual.values - exact.values)) <= 1e-10
-    assert dual.p2_range == (pytest.approx(-1.0), pytest.approx(1.0))
+    assert (dual.spec.y_lo, dual.spec.y_hi) == (pytest.approx(-1.0), pytest.approx(1.0))
 
 
 def test_dual_grid_metadata():
     spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, 17, 33)
-    u = gr.sample(spec, an.family_callable(an.FamilyParams(1.0, 2.0, 0.5)))
+    u = gr.sample(spec, functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.5)))
     dual = pl.forward_transform(u, np2=25)
+    assert isinstance(dual, gr.GridFunction)
     assert dual.spec.nx == spec.nx
     assert dual.spec.ny == 25
     np.testing.assert_allclose(dual.spec.x_nodes(), spec.x_nodes())
-    lo, hi = dual.p2_range
+    lo, hi = dual.spec.y_lo, dual.spec.y_hi
     assert lo == pytest.approx(0.5 - 1.0) and hi == pytest.approx(-0.5 + 1.0)
     with pytest.raises(ValueError):
         pl.forward_transform(u, np2=2)
@@ -47,7 +50,7 @@ def test_involution_second_order_for_family_with_cross_term(alpha):
     errs = []
     for n in (33, 65, 129):
         spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, n, 2 * n - 1)
-        u = gr.sample(spec, an.family_callable(fam))
+        u = gr.sample(spec, functools.partial(an.family_eval, fam))
         errs.append(pl.involution_check(u))
     assert errs[1] <= 0.35 * errs[0]
     assert errs[2] <= 0.35 * errs[1]
@@ -55,7 +58,7 @@ def test_involution_second_order_for_family_with_cross_term(alpha):
 
 def test_involution_error_unchanged_by_constant_shift():
     spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, 33, 65)
-    u = gr.sample(spec, an.family_callable(an.FamilyParams(2.0, 1.0, 0.5)))
+    u = gr.sample(spec, functools.partial(an.family_eval, an.FamilyParams(2.0, 1.0, 0.5)))
     shifted = gr.GridFunction(spec, u.values + 3.7)
     assert pl.involution_check(shifted) == pytest.approx(pl.involution_check(u), abs=1e-12)
 
@@ -71,7 +74,7 @@ def test_empty_dual_range_raises():
     # u2 = b x1 + x2/a: with a = 2, b = 0.5 on [-1,1]^2 the column slope
     # intervals shrink to a point
     spec = gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 33, 33)
-    u = gr.sample(spec, an.family_callable(an.FamilyParams(1.0, 2.0, 0.5)))
+    u = gr.sample(spec, functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.5)))
     with pytest.raises(ValueError, match="empty dual range"):
         pl.forward_transform(u)
 
@@ -79,7 +82,7 @@ def test_empty_dual_range_raises():
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
 def test_dual_convex_in_p2_concave_in_p1(alpha):
     spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, 49, 97)
-    u = gr.sample(spec, an.family_callable(an.FamilyParams(alpha, 1.5, 0.4)))
+    u = gr.sample(spec, functools.partial(an.family_eval, an.FamilyParams(alpha, 1.5, 0.4)))
     dual = pl.forward_transform(u)
     v = dual.values
     d22 = v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]
@@ -90,7 +93,7 @@ def test_dual_convex_in_p2_concave_in_p1(alpha):
 
 def test_transform_injective_per_column():
     spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, 17, 33)
-    u = gr.sample(spec, an.family_callable(an.FamilyParams(1.0, 1.0, 0.3)))
+    u = gr.sample(spec, functools.partial(an.family_eval, an.FamilyParams(1.0, 1.0, 0.3)))
     p = pl._x2_gradient(u)
     assert np.all(np.diff(p, axis=1) > 0)
 
@@ -99,22 +102,17 @@ def test_grushin_residual_on_sampled_dual():
     errs = []
     for n in (65, 129):
         spec = gr.GridSpec(-1.0, 1.0, -1.0, 1.0, n, n)
-        vals = gr.sample(spec, an.dual_callable(an.FamilyParams(2.0, 1.0))).values
-        dual = pl.DualGridFunction(spec, vals, (-1.0, 1.0))
+        dual = gr.sample(spec, functools.partial(an.dual_closed_form, an.FamilyParams(2.0, 1.0)))
         errs.append(pl.grushin_residual(dual, 2.0, exclude_k=2))
     assert errs[1] <= 0.3 * errs[0] + 1e-12
 
-    affine = pl.DualGridFunction(
-        gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 17, 17),
-        gr.sample(gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 17, 17), lambda X, Y: 1 + 2 * X - 3 * Y).values,
-        (-1.0, 1.0),
-    )
+    affine = gr.sample(gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 17, 17), lambda X, Y: 1 + 2 * X - 3 * Y)
     assert pl.grushin_residual(affine, 1.0) <= 1e-12
 
 
 def test_grushin_residual_exclusion_errors():
     spec = gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
-    dual = pl.DualGridFunction(spec, np.zeros((9, 9)), (-1.0, 1.0))
+    dual = gr.GridFunction(spec, np.zeros((9, 9)))
     with pytest.raises(ValueError, match="exclude_k"):
         pl.grushin_residual(dual, 1.0, exclude_k=0)
     with pytest.raises(ValueError, match="too small"):
@@ -124,7 +122,7 @@ def test_grushin_residual_exclusion_errors():
 def test_pipeline_smoke_ma_to_dual():
     fam = an.FamilyParams(1.0, 2.0, 0.5)
     spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, 33, 65)
-    u, rep = ma.ma_solve_dirichlet(spec, 1.0, an.family_callable(fam))
+    u, rep = ma.ma_solve_dirichlet(spec, 1.0, functools.partial(an.family_eval, fam))
     assert rep.converged
     dual = pl.forward_transform(u)
     assert pl.grushin_residual(dual, 1.0, 2) < 0.2
