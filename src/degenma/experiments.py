@@ -98,6 +98,22 @@ class ExperimentConfig:
             (self.fp_tolerance > 0, "fp_tolerance must be > 0"),
             (self.ode_step > 0, "ode_step must be > 0"),
             (self.ode_t_max >= 0, "ode_t_max must be >= 0"),
+            (self.family_a > 0, "family_a must be > 0"),
+            (len(self.semi_axes) == 2 and all(s > 0 for s in self.semi_axes), "semi_axes must be two positive values"),
+            (len(self.r_values) >= 1 and all(r > 0 for r in self.r_values), "r_values must be positive"),
+            (len(self.c_values) >= 1 and all(c > 0 for c in self.c_values), "c_values must be positive"),
+            (-1.0 < self.alpha_case2 < 0.0, "alpha_case2 must lie in (-1, 0)"),
+            (
+                len(self.domain) == 4
+                and all(math.isfinite(v) for v in self.domain)
+                and self.domain[0] < self.domain[1]
+                and self.domain[2] < self.domain[3],
+                "domain must be x_lo, x_hi, y_lo, y_hi with x_lo < x_hi and y_lo < y_hi",
+            ),
+            (
+                len(self.eps_list) >= 1 and all(e > 0 for e in self.eps_list) and _strictly_decreasing(self.eps_list),
+                "eps_list must be positive and strictly decreasing",
+            ),
         ):
             if not ok:
                 raise ValueError(message)
@@ -327,11 +343,14 @@ def _run_liouville_fit(cfg: ExperimentConfig):
 
 def _seeded_solves(cfg: ExperimentConfig):
     """Yield (nx, spec, seed, u): the degenerate-operator solve for each grid
-    size and each of the n_seeds random positive boundary data from cfg.seed on."""
+    size and each of the n_seeds random positive boundary data from cfg.seed on.
+    The boundary data are built once and the seeds of one grid share one
+    operator, so each grid is factored once."""
+    seeds = range(cfg.seed, cfg.seed + cfg.n_seeds)
+    data = [random_positive_boundary(np.random.default_rng(seed), cfg.domain) for seed in seeds]
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
-        for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
-            g = random_positive_boundary(np.random.default_rng(seed), cfg.domain)
+        for seed, g in zip(seeds, data):
             u, _ = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.solver_tol)
             yield nx, spec, seed, u
 

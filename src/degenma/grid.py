@@ -144,6 +144,8 @@ def interp_bilinear(u: GridFunction, x1, x2) -> np.ndarray | float:
     the c0 + c1*x1 + c2*x2 + c3*x1*x2 class. Out-of-range points are an error."""
     spec = u.spec
     x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+        raise ValueError("interpolation point must be finite")
     # Tolerate roundoff-level overshoot at the outer boundary.
     tol_x = 1e-12 * (spec.x_hi - spec.x_lo)
     tol_y = 1e-12 * (spec.y_hi - spec.y_lo)
@@ -166,12 +168,12 @@ def interp_bilinear(u: GridFunction, x1, x2) -> np.ndarray | float:
 def write_csv(u: GridFunction, path, header: tuple[str, str, str] = ("x1", "x2", "value")) -> None:
     """Serialize as CSV, one row per node, x1 varying fastest, 17 significant digits."""
     spec = u.spec
-    xs, ys, v = spec.x_nodes(), spec.y_nodes(), u.values
+    xs = [f"{x:.17g}," for x in spec.x_nodes().tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for j in range(spec.ny):
-            for i in range(spec.nx):
-                fh.write(f"{xs[i]:.17g},{ys[j]:.17g},{v[i, j]:.17g}\n")
+        for y, row in zip(spec.y_nodes().tolist(), u.values.T):
+            y = f"{y:.17g},"
+            fh.write("".join(f"{x}{y}{v:.17g}\n" for x, v in zip(xs, row.tolist())))
 
 
 def read_csv(path) -> GridFunction:

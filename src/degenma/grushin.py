@@ -9,6 +9,7 @@ the system is solved by sparse direct factorization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,14 +60,18 @@ class HarnackReport:
 
 
 def boundary_array(spec: GridSpec, g) -> np.ndarray:
-    """Boundary data g(x1, x2), a broadcastable callable, sampled at every node
-    into a full (nx, ny) array (interior entries unused)."""
+    """Boundary data g(x1, x2), a broadcastable callable, sampled at the
+    boundary nodes only, in a full (nx, ny) array whose interior entries are 0."""
     if not callable(g):
         raise TypeError("boundary data must be a callable g(x1, x2)")
     X1, X2 = spec.meshgrid()
-    arr = np.broadcast_to(np.asarray(g(X1, X2), dtype=float), (spec.nx, spec.ny)).copy()
-    if not np.all(np.isfinite(arr[spec.boundary_mask()])):
+    bd = spec.boundary_mask()
+    x1, x2 = X1[bd], X2[bd]
+    ring = np.broadcast_to(np.asarray(g(x1, x2), dtype=float), x1.shape)
+    if not np.all(np.isfinite(ring)):
         raise ValueError("boundary data must be finite on all boundary nodes")
+    arr = np.zeros((spec.nx, spec.ny))
+    arr[bd] = ring
     return arr
 
 
@@ -103,6 +108,16 @@ def boundary_rhs(spec: GridSpec, g_arr: np.ndarray, eta_interior: np.ndarray) ->
     return b.ravel()
 
 
+@functools.lru_cache(maxsize=1)
+def _factor(spec: GridSpec, alpha: float, eps: float):
+    """eta_eps on the interior x1 nodes and the sparse LU factor of
+    :func:`assemble_operator` for them. One entry is kept: repeated solves on
+    one operator (a scan over seeds on one grid) factor it once."""
+    eta_int = np.asarray(eta_eps(RegularizerSpec(alpha, eps), spec.x_nodes()[1:-1]), dtype=float)
+    eta_int.setflags(write=False)
+    return eta_int, spla.splu(assemble_operator(spec, eta_int))
+
+
 def solve_dirichlet(
     spec: GridSpec,
     alpha: float,
@@ -112,15 +127,15 @@ def solve_dirichlet(
 ) -> tuple[GridFunction, SolveReport]:
     """Solve the five-point scheme for u_11 + eta_eps(x1) u_22 = 0 with u = g
     on the boundary nodes. ``eps`` defaults to 2 hx, tying the regularization
-    plateau to what the grid can resolve."""
+    plateau to what the grid can resolve. The factor of the operator is cached
+    for the last (spec, alpha, eps)."""
     if eps is None:
         eps = 2.0 * spec.hx
     g_arr = boundary_array(spec, g)
-    eta_int = np.asarray(eta_eps(RegularizerSpec(alpha, eps), spec.x_nodes()[1:-1]), dtype=float)
-    a = assemble_operator(spec, eta_int)
+    eta_int, lu = _factor(spec, float(alpha), float(eps))
     b = boundary_rhs(spec, g_arr, eta_int)
     u = np.array(g_arr)
-    u[1:-1, 1:-1] = spla.splu(a).solve(b).reshape(spec.nx - 2, spec.ny - 2)
+    u[1:-1, 1:-1] = lu.solve(b).reshape(spec.nx - 2, spec.ny - 2)
     d11, d22, _ = second_differences(spec, u)
     residual = float(np.max(np.abs(d11 + eta_int[:, None] * d22)))
     bd = spec.boundary_mask()

@@ -219,6 +219,15 @@ def test_cli_exit_codes(tmp_path):
         "fp_tolerance = 0",
         "ode_step = 0",
         "ode_t_max = -0.5",
+        "family_a = 0",
+        "semi_axes = -0.3, 0.2",
+        "semi_axes = 0.3",
+        "r_values = -1, 2",
+        "c_values = 0, 1",
+        "alpha_case2 = 0.5",
+        "domain = 1, -1, -1, 1",
+        "eps_list = 1/32, 1/16",
+        "eps_list = 1/16, 0",
     ],
 )
 def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, line):

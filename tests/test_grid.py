@@ -105,6 +105,13 @@ def test_interp_bilinear():
         gr.interp_bilinear(u, 1.5, 0.0)
 
 
+@pytest.mark.parametrize("x1, x2", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), ([0.0, np.nan], 0.5)])
+def test_interp_bilinear_rejects_non_finite_points(x1, x2):
+    u = gr.sample(unit_spec(17), lambda X, Y: X * Y)
+    with pytest.raises(ValueError, match="finite"):
+        gr.interp_bilinear(u, x1, x2)
+
+
 def test_csv_round_trip(tmp_path):
     spec = gr.GridSpec(-1.0, 1.0, 0.0, 2.0, 7, 5)
     rng = np.random.default_rng(3)
@@ -116,6 +123,18 @@ def test_csv_round_trip(tmp_path):
     v = gr.read_csv(path)
     assert v.spec == spec
     np.testing.assert_array_equal(v.values, u.values)
+
+
+def test_write_csv_matches_the_per_node_loop(tmp_path):
+    spec = gr.GridSpec(-1.0, 1.0, -0.3, 2.0, 13, 7)
+    u = gr.GridFunction(spec, np.random.default_rng(5).normal(size=(13, 7)) * 10.0 ** np.arange(-3, 4))
+    path = tmp_path / "u.csv"
+    gr.write_csv(u, path, header=("p1", "p2", "ustar"))
+    xs, ys, v = spec.x_nodes(), spec.y_nodes(), u.values
+    expected = "p1,p2,ustar\n" + "".join(
+        f"{xs[i]:.17g},{ys[j]:.17g},{v[i, j]:.17g}\n" for j in range(spec.ny) for i in range(spec.nx)
+    )
+    assert path.read_text(encoding="utf-8") == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,12 +4,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenma import analytic as an
 from degenma import grid as gr
 from degenma import grushin as gs
+from degenma.experiments import make_config, run
 
 
 def square(n=65, half=1.0):
@@ -84,10 +86,16 @@ def test_max_principle_margin_on_oscillatory_data():
 
 def test_boundary_array_forms_and_validation():
     spec = square(17)
+    bd = spec.boundary_mask()
     arr = gs.boundary_array(spec, lambda X, Y: X + Y)
-    np.testing.assert_array_equal(arr, gr.sample(spec, lambda X, Y: X + Y).values)
-    # a scalar-valued callable is broadcast to every node
-    np.testing.assert_array_equal(gs.boundary_array(spec, lambda X, Y: 2.5), np.full((17, 17), 2.5))
+    assert arr.shape == (17, 17)
+    np.testing.assert_array_equal(arr[bd], gr.sample(spec, lambda X, Y: X + Y).values[bd])
+    # only the boundary ring is sampled; interior entries are exactly 0
+    np.testing.assert_array_equal(arr[~bd], 0.0)
+    # a scalar-valued callable is broadcast to every boundary node
+    scalar = gs.boundary_array(spec, lambda X, Y: 2.5)
+    np.testing.assert_array_equal(scalar[bd], 2.5)
+    np.testing.assert_array_equal(scalar[~bd], 0.0)
     with pytest.raises(ValueError):
         gs.boundary_array(spec, lambda X, Y: np.where((X == -1.0) & (Y == -1.0), np.nan, X + Y))
     # only callables: sampled arrays and grid functions are not boundary data
@@ -209,3 +217,53 @@ def test_operator_and_boundary_rhs_match_the_stencil(nx, ny, width, height, seed
     d11, d22, _ = gr.second_differences(spec, v)
     scale = np.max(np.abs(v)) * (1.0 / spec.hx**2 + np.max(eta) / spec.hy**2)
     np.testing.assert_allclose(lhs, -(d11 + eta[:, None] * d22).ravel(), rtol=0, atol=1e-13 * scale)
+
+
+# (spec, alpha, eps) keys that differ in one component at a time
+_FACTOR_KEYS = (
+    (gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 17, 17), 2.0, None),
+    (gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 17, 17), 2.0, 0.3),
+    (gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 17, 17), 0.5, 0.3),
+    (gr.GridSpec(-1.0, 1.0, -0.5, 1.5, 13, 21), 0.5, 0.3),
+)
+
+
+def _smooth_data(c):
+    return lambda X, Y: c[0] + c[1] * np.sin(3 * X) + c[2] * X * Y**2
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    order=st.lists(st.integers(0, len(_FACTOR_KEYS) - 1), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_factor_solves_equal_fresh_solves(order, seed):
+    # interleaved keys evict each other from the one-entry cache; every solve,
+    # on a reused factor or not, is bitwise the solve on a fresh factor
+    coef = np.random.default_rng(seed).normal(size=(len(order), 3))
+    gs._factor.cache_clear()
+    cached = []
+    for k, c in zip(order, coef):
+        spec, alpha, eps = _FACTOR_KEYS[k]
+        cached.append(gs.solve_dirichlet(spec, alpha, _smooth_data(c), eps=eps))
+    for k, c, (u, rep) in zip(order, coef, cached):
+        spec, alpha, eps = _FACTOR_KEYS[k]
+        gs._factor.cache_clear()
+        fresh, fresh_rep = gs.solve_dirichlet(spec, alpha, _smooth_data(c), eps=eps)
+        np.testing.assert_array_equal(u.values, fresh.values)
+        assert rep == fresh_rep
+
+
+def test_seeded_scan_factors_once_per_grid(monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    gs._factor.cache_clear()
+    summary = run(make_config("harnack-scan", grid_sizes=(21, 41), n_seeds=3))
+    assert len(summary.rows) == 6
+    assert len(calls) == 2
