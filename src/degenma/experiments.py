@@ -111,6 +111,11 @@ class ExperimentConfig:
                 "domain must be x_lo, x_hi, y_lo, y_hi with x_lo < x_hi and y_lo < y_hi",
             ),
             (
+                len(self.center) == 2
+                and all(lo <= c <= hi for c, lo, hi in zip(self.center, self.domain[::2], self.domain[1::2])),
+                "center must be two values inside domain",
+            ),
+            (
                 len(self.eps_list) >= 1 and all(e > 0 for e in self.eps_list) and _strictly_decreasing(self.eps_list),
                 "eps_list must be positive and strictly decreasing",
             ),
@@ -462,6 +467,7 @@ def _run_strictconvexity_demo(cfg: ExperimentConfig):
     rows.append({"part": "ma", "metric": "ring_max", "value": ring_max})
     rows.append({"part": "ma", "metric": "comparison_ok", "value": float(comparison)})
     rows.append({"part": "ma", "metric": "converged", "value": float(rep.converged)})
+    rows.append({"part": "ma", "metric": "iterations", "value": rep.iterations})
 
     traj = an.ode_integrate(cfg.alpha, cfg.ode_t_max, cfg.ode_step)
     y_hi = 0.8 * float(traj.t[-1])

@@ -5,20 +5,19 @@ Uses the 2D algebraic identity for convex functions,
 
     lap u = sqrt((u11 - u22)^2 + 4 u12^2 + 4 det D2u),
 
-as a damped fixed point: each sweep solves a Poisson problem with the
-right-hand side evaluated at the current iterate. At the discrete fixed point
-the scheme enforces det_h u = f exactly, and d11, d22 >= 0 up to the
-convergence slack, so discrete convexity comes for free.
+as a damped fixed point: each sweep solves a Poisson problem (the grushin
+solver at eta = 1) with the right-hand side evaluated at the current iterate.
+At the discrete fixed point the scheme enforces det_h u = f exactly, and
+d11, d22 >= 0 up to the convergence slack, so discrete convexity comes for free.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .analytic import RegularizerSpec, SectionSpec, eta_eps, phi_det_coefficient, phi_eval
 from .grid import GridFunction, GridSpec, second_differences
-from .grushin import SolveReport, assemble_operator, boundary_array, boundary_rhs, section_node_mask
+from .grushin import SolveReport, _SeparableFactor, boundary_array, boundary_rhs, section_node_mask
 
 __all__ = ["ma_solve_dirichlet", "ma_residual", "comparison_check"]
 
@@ -52,11 +51,11 @@ def ma_solve_dirichlet(
     f = np.broadcast_to(f, (spec.nx - 2, spec.ny - 2))
 
     ones = np.ones(spec.nx - 2)
-    lap = spla.splu(assemble_operator(spec, ones))
+    lap = _SeparableFactor(spec, ones)
     bx = boundary_rhs(spec, g_arr, ones)
 
     def poisson(rhs: np.ndarray) -> np.ndarray:
-        # lap P = rhs with P = g on the boundary; assemble_operator is -lap.
+        # lap P = rhs with P = g on the boundary; the factored operator is -lap.
         return lap.solve(bx - rhs.ravel()).reshape(spec.nx - 2, spec.ny - 2)
 
     u = np.array(g_arr)

@@ -1,10 +1,15 @@
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import degenma
 from degenma import analytic as an
 from degenma import cli
 from degenma import grid as gr
@@ -102,6 +107,26 @@ def test_metrics_reproducibility_bit_identical(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_liouville_fit_outputs_equal_across_processes(tmp_path):
+    # both solvers, the transform and the CSV writers, in two interpreters
+    # with different hash seeds: every output file is the same bytes
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("grid_sizes = 33, 65\n")
+    src = str(Path(degenma.__file__).resolve().parents[1])
+    digests = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"seed{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["liouville-fit", "--save-fields", "--config", str(cfg), "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "degenma.cli", *argv], env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in out.glob("dual_*.csv"))
+        assert names == ["dual_33.csv", "dual_65.csv"]
+        digests.append({n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in ["metrics.csv", *names]})
+    assert digests[0] == digests[1]
+
+
 def test_summary_json_contract(tmp_path):
     out = tmp_path / "out"
     cfg = make_config("scaling-check", out_dir=str(out))
@@ -167,6 +192,8 @@ def test_strictconvexity_demo_small_grid():
     assert summary.verdicts["section_boundary_separated"]
     assert summary.verdicts["comparison_bound"]
     assert summary.verdicts["ma_converged"]
+    iterations = [r["value"] for r in summary.rows if (r["part"], r["metric"]) == ("ma", "iterations")]
+    assert len(iterations) == 1 and isinstance(iterations[0], int) and 1 <= iterations[0] < 6000
 
 
 def test_solver_failure_becomes_failing_verdict():
@@ -228,6 +255,10 @@ def test_cli_exit_codes(tmp_path):
         "domain = 1, -1, -1, 1",
         "eps_list = 1/32, 1/16",
         "eps_list = 1/16, 0",
+        "center = 5, 5",
+        "center = 0, 1.6",
+        "center = 0.1",
+        "center = nan, 0",
     ],
 )
 def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, line):

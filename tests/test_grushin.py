@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degenma import analytic as an
@@ -16,6 +17,24 @@ from degenma.experiments import make_config, run
 
 def square(n=65, half=1.0):
     return gr.GridSpec(-half, half, -half, half, n, n)
+
+
+def _second_difference_matrix(n, h):
+    # Interior part of -d^2/ds^2 with Dirichlet ends: tridiag(-1, 2, -1)/h^2.
+    main = np.full(n, 2.0 / h**2)
+    off = np.full(n - 1, -1.0 / h**2)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+
+def assemble_operator(spec, eta_interior):
+    """Reference sparse matrix of the negated five-point operator on interior
+    nodes, x-index major ordering: the system the package solves without
+    assembling it."""
+    mx, my = spec.nx - 2, spec.ny - 2
+    tx = _second_difference_matrix(mx, spec.hx)
+    ty = _second_difference_matrix(my, spec.hy)
+    a = sp.kron(tx, sp.identity(my, format="csr"), format="csc")
+    return a + sp.kron(sp.diags(eta_interior), ty, format="csc")
 
 
 def test_constant_boundary_data_reproduced():
@@ -213,7 +232,7 @@ def test_operator_and_boundary_rhs_match_the_stencil(nx, ny, width, height, seed
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(nx, ny))
     eta = rng.uniform(1e-3, 10.0, size=nx - 2)
-    lhs = gs.assemble_operator(spec, eta) @ v[1:-1, 1:-1].ravel() - gs.boundary_rhs(spec, v, eta)
+    lhs = assemble_operator(spec, eta) @ v[1:-1, 1:-1].ravel() - gs.boundary_rhs(spec, v, eta)
     d11, d22, _ = gr.second_differences(spec, v)
     scale = np.max(np.abs(v)) * (1.0 / spec.hx**2 + np.max(eta) / spec.hy**2)
     np.testing.assert_allclose(lhs, -(d11 + eta[:, None] * d22).ravel(), rtol=0, atol=1e-13 * scale)
@@ -254,16 +273,39 @@ def test_cached_factor_solves_equal_fresh_solves(order, seed):
         assert rep == fresh_rep
 
 
-def test_seeded_scan_factors_once_per_grid(monkeypatch):
-    calls = []
-    splu = spla.splu
+@settings(max_examples=60, deadline=None)
+@given(
+    nx=st.integers(3, 60),
+    ny=st.integers(3, 60),
+    width=st.floats(0.1, 10.0),
+    height=st.floats(0.1, 10.0),
+    alpha=st.none() | st.floats(-1.0, 20.0, exclude_min=True),
+    eps_frac=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separable_solve_matches_the_sparse_reference(nx, ny, width, height, alpha, eps_frac, seed):
+    # the sine-transform/tridiagonal solve of A x = b against a sparse direct
+    # solve of the assembled matrix, for eta_eps (alpha=None: eta = 1)
+    spec = gr.GridSpec(-0.5 * width, 0.5 * width, 0.0, height, nx, ny)
+    assume(spec.hx != spec.hy)
+    if alpha is None:
+        eta = np.ones(nx - 2)
+    else:
+        eta = an.eta_eps(an.RegularizerSpec(alpha, eps_frac * width), spec.x_nodes()[1:-1])
+    b = np.random.default_rng(seed).normal(size=(nx - 2) * (ny - 2))
+    x = gs._SeparableFactor(spec, eta).solve(b)
+    ref = spla.spsolve(assemble_operator(spec, eta), b)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def counting_splu(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
+def test_separable_factor_rejects_an_indefinite_operator():
+    spec = gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        gs._SeparableFactor(spec, np.full(7, -10.0))
+
+
+def test_seeded_scan_factors_once_per_grid():
     gs._factor.cache_clear()
     summary = run(make_config("harnack-scan", grid_sizes=(21, 41), n_seeds=3))
     assert len(summary.rows) == 6
-    assert len(calls) == 2
+    assert gs._factor.cache_info().misses == 2
