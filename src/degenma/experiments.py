@@ -66,7 +66,6 @@ class ExperimentConfig:
     ode_step: float = 1e-3
     fp_tolerance: float = 1e-10
     max_iterations: int = 3000
-    solver_tol: float = 1e-10
     n_pairs: int = 800
     out_dir: str | None = None
     save_fields: bool = False
@@ -194,11 +193,11 @@ def fit_family_from_dual(dual: gr.GridFunction, exclude_k: int = 2) -> tuple[flo
     returns the standard deviation of d22 u* (constancy diagnostic).
     """
     spec = dual.spec
+    keep = pl.off_line_columns(spec, exclude_k)
     _, a22, a12 = gr.second_differences(spec, dual.values)
     p1 = spec.x_nodes()[1:-1]
-    keep = np.abs(p1) > exclude_k * spec.hx * (1.0 + 1e-9)
-    if not np.any(keep) or not np.any(p1 > 0):
-        raise ValueError("dual grid too small for the parameter fit")
+    if not np.any(p1 > 0):
+        raise ValueError("dual grid has no p1 > 0 columns for the parameter fit")
     a_hat = float(np.mean(a22[keep, :]))
     stdev = float(np.std(a22[keep, :]))
     b_hat = float(-np.mean(a12[p1 > 0, :]) / a_hat)
@@ -225,7 +224,7 @@ def _run_convergence_grushin(cfg: ExperimentConfig):
     rows = []
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
-        u, rep = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.solver_tol)
+        u, rep = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec))
         err = float(np.max(np.abs(u.values - gr.sample(spec, g).values)))
         rows.append(
             {
@@ -356,7 +355,7 @@ def _seeded_solves(cfg: ExperimentConfig):
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
         for seed, g in zip(seeds, data):
-            u, _ = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.solver_tol)
+            u, _ = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec))
             yield nx, spec, seed, u
 
 
@@ -408,7 +407,7 @@ def _run_doubling_check(cfg: ExperimentConfig):
     rows = [
         {"kind": "centered_ratio", "cx": 0.0, "cy": 0.0, "value": centered, "reference": target}
     ]
-    cx, cy = cfg.center if cfg.center != (0.0, 0.0) else (0.35, 0.1)
+    cx, cy = cfg.center
     off = an.doubling_ratio(cfg.alpha, omega, cfg.domain, (cx, cy), cfg.semi_axes, 0.0, cfg.resolution)
     rows.append({"kind": "offcenter_ratio", "cx": cx, "cy": cy, "value": off, "reference": 0.0})
 
@@ -549,7 +548,7 @@ def _run_scaling_check(cfg: ExperimentConfig):
 def _run_derivative_bound_scan(cfg: ExperimentConfig):
     spec = cfg.grid(cfg.grid_sizes[-1])
     g = random_positive_boundary(np.random.default_rng(cfg.seed), cfg.domain)
-    table = gs.derivative_bound_scan(spec, cfg.alpha, g, cfg.eps_list, tol=cfg.solver_tol)
+    table = gs.derivative_bound_scan(spec, cfg.alpha, g, cfg.eps_list)
     rows = [{"eps": e, "ratio": r} for e, r in table]
     ratios = [r["ratio"] for r in rows]
     positive = [r for r in ratios if r > 0]
@@ -606,7 +605,7 @@ EXPERIMENTS = {
     "doubling-check": (
         _run_doubling_check,
         "kind,cx,cy,value,reference",
-        {"alpha": 2.0, "grid_sizes": (65,)},
+        {"alpha": 2.0, "grid_sizes": (65,), "center": (0.35, 0.1)},
     ),
     "strictconvexity-demo": (
         _run_strictconvexity_demo,
@@ -727,26 +726,16 @@ def write_metrics_csv(rows: list, path) -> None:
 def run(config: ExperimentConfig) -> RunSummary:
     """Execute a registered experiment; solver failures become failing
     verdicts with a diagnostic, never a crash."""
-    if config.experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {config.experiment!r}")
     runner = EXPERIMENTS[config.experiment][0]
+    echo = dataclasses.asdict(config)
     start = time.perf_counter()
     try:
         rows, verdicts = runner(config)
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        rows = []
-        verdicts = {"completed": False}
-        echo = dataclasses.asdict(config)
+        rows, verdicts = [], {"completed": False}
         echo["error"] = f"{type(exc).__name__}: {exc}"
-        summary = RunSummary(config.experiment, rows, verdicts, time.perf_counter() - start, echo)
-        _write_outputs(summary, config)
-        return summary
     summary = RunSummary(
-        config.experiment,
-        rows,
-        {k: bool(v) for k, v in verdicts.items()},
-        time.perf_counter() - start,
-        dataclasses.asdict(config),
+        config.experiment, rows, {k: bool(v) for k, v in verdicts.items()}, time.perf_counter() - start, echo
     )
     _write_outputs(summary, config)
     return summary

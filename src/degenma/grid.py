@@ -11,12 +11,12 @@ __all__ = [
     "GridSpec",
     "GridFunction",
     "sample",
+    "first_difference_x2",
     "second_differences",
     "sup_norm",
     "holder_seminorm",
     "interp_bilinear",
     "write_csv",
-    "read_csv",
 ]
 
 @dataclass(frozen=True)
@@ -85,6 +85,12 @@ def sample(spec: GridSpec, f) -> GridFunction:
     """Sample a callable f(x1, x2) (numpy-broadcastable) at the nodes."""
     X1, X2 = spec.meshgrid()
     return GridFunction(spec, np.broadcast_to(np.asarray(f(X1, X2), dtype=float), (spec.nx, spec.ny)))
+
+
+def first_difference_x2(spec: GridSpec, v: np.ndarray) -> np.ndarray:
+    """Centered first difference in x2 of node values ``v`` on the nodes with
+    interior x2 index, shape (nx, ny - 2)."""
+    return (v[:, 2:] - v[:, :-2]) / (2.0 * spec.hy)
 
 
 def second_differences(spec: GridSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,16 +181,3 @@ def write_csv(u: GridFunction, path, header: tuple[str, str, str] = ("x1", "x2",
             y = f"{y:.17g},"
             fh.write("".join(f"{x}{y}{v:.17g}\n" for x, v in zip(xs, row.tolist())))
 
-
-def read_csv(path) -> GridFunction:
-    """Inverse of :func:`write_csv` (expects the exact node layout it writes)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError("expected three CSV columns")
-    x1, x2, vals = data[:, 0], data[:, 1], data[:, 2]
-    nx = int(np.argmax(x2 != x2[0])) or len(x2)
-    if len(vals) % nx != 0:
-        raise ValueError("rows do not form a full rectangular grid")
-    ny = len(vals) // nx
-    spec = GridSpec(float(x1[0]), float(x1[nx - 1]), float(x2[0]), float(x2[-1]), nx, ny)
-    return GridFunction(spec, vals.reshape(ny, nx).T)

@@ -5,8 +5,9 @@ Uses the 2D algebraic identity for convex functions,
 
     lap u = sqrt((u11 - u22)^2 + 4 u12^2 + 4 det D2u),
 
-as a damped fixed point: each sweep solves a Poisson problem (the grushin
-solver at eta = 1) with the right-hand side evaluated at the current iterate.
+as a fixed point (Benamou-Froese-Oberman 2010): each sweep solves a Poisson
+problem (the grushin solver at eta = 1) with the right-hand side evaluated at
+the current iterate and takes the full step.
 At the discrete fixed point the scheme enforces det_h u = f exactly, and
 d11, d22 >= 0 up to the convergence slack, so discrete convexity comes for free.
 """
@@ -19,7 +20,7 @@ from .analytic import RegularizerSpec, SectionSpec, eta_eps, phi_det_coefficient
 from .grid import GridFunction, GridSpec, second_differences
 from .grushin import SolveReport, _SeparableFactor, boundary_array, boundary_rhs, section_node_mask
 
-__all__ = ["ma_solve_dirichlet", "ma_residual", "comparison_check"]
+__all__ = ["ma_solve_dirichlet", "comparison_check"]
 
 
 def ma_solve_dirichlet(
@@ -37,8 +38,7 @@ def ma_solve_dirichlet(
 
     Convergence requires both the applied sup-update <= tol and the identity
     residual sup |lap u - sqrt(...)| <= 10 tol, within ``max_iterations``
-    sweeps. Damping starts at 1, halves whenever the fixed-point residual
-    increases, and never drops below 0.125.
+    sweeps. Every sweep takes the full Poisson step.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -61,10 +61,7 @@ def ma_solve_dirichlet(
     u = np.array(g_arr)
     u[1:-1, 1:-1] = poisson(2.0 * np.sqrt(f))
 
-    damping = 1.0
     update_sup = np.inf
-    fp_prev = np.inf
-    streak = 0
     iterations = 0
     converged = False
     for iterations in range(1, max_iterations + 1):
@@ -74,22 +71,9 @@ def ma_solve_dirichlet(
         if update_sup <= tol and identity_residual <= 10.0 * tol:
             converged = True
             break
-        p = poisson(rhs)
-        delta = p - u[1:-1, 1:-1]
-        fp_resid = float(np.max(np.abs(delta)))
-        if fp_resid > fp_prev:
-            damping = max(0.5 * damping, 0.125)
-            streak = 0
-        else:
-            # recover from transient-induced halvings once the residual has
-            # decreased monotonically for a sustained stretch
-            streak += 1
-            if streak >= 100 and damping < 1.0:
-                damping = min(2.0 * damping, 1.0)
-                streak = 0
-        fp_prev = fp_resid
-        u[1:-1, 1:-1] += damping * delta
-        update_sup = damping * fp_resid
+        delta = poisson(rhs) - u[1:-1, 1:-1]
+        u[1:-1, 1:-1] += delta
+        update_sup = float(np.max(np.abs(delta)))
 
     a11, a22, a12 = second_differences(spec, u)
     rhs = np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2 + 4.0 * f)
@@ -109,20 +93,9 @@ def ma_solve_dirichlet(
             "min_d11": float(np.min(a11)),
             "min_d22": float(np.min(a22)),
             "min_det": float(np.min(det)),
-            "damping": float(damping),
         },
     )
     return GridFunction(spec, u), report
-
-
-def ma_residual(u: GridFunction, alpha: float, eps: float) -> np.ndarray:
-    """Interior field d11 d22 - d12^2 - eta_eps(x1); NaN on the boundary ring."""
-    spec = u.spec
-    a11, a22, a12 = second_differences(spec, u.values)
-    f = np.asarray(eta_eps(RegularizerSpec(alpha, eps), spec.x_nodes()[1:-1]), dtype=float)[:, None]
-    out = np.full((spec.nx, spec.ny), np.nan)
-    out[1:-1, 1:-1] = a11 * a22 - a12**2 - f
-    return out
 
 
 def comparison_check(

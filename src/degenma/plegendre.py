@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, interp_bilinear, second_differences, write_csv
+from .grid import GridFunction, GridSpec, first_difference_x2, interp_bilinear, second_differences, write_csv
 
 __all__ = [
     "forward_transform",
     "involution_check",
     "grushin_residual",
+    "off_line_columns",
     "write_dual_csv",
 ]
 
@@ -34,7 +35,7 @@ def _x2_gradient(u: GridFunction) -> np.ndarray:
     v = u.values
     hy = u.spec.hy
     p = np.empty_like(v)
-    p[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2.0 * hy)
+    p[:, 1:-1] = first_difference_x2(u.spec, v)
     p[:, 0] = (-3.0 * v[:, 0] + 4.0 * v[:, 1] - v[:, 2]) / (2.0 * hy)
     p[:, -1] = (3.0 * v[:, -1] - 4.0 * v[:, -2] + v[:, -3]) / (2.0 * hy)
     return p
@@ -109,17 +110,24 @@ def involution_check(u: GridFunction, np2: int | None = None) -> float:
     return float(np.max(np.abs(back.values - interp_bilinear(u, back.spec.x_nodes()[:, None], ys[None, :]))))
 
 
-def grushin_residual(ustar: GridFunction, alpha: float, exclude_k: int = 2) -> float:
-    """Sup of |d11 u* + |p1|^alpha d22 u*| over interior dual nodes, skipping
-    ``exclude_k`` columns on each side of p1 = 0, where the dual is not C^2."""
+def off_line_columns(spec: GridSpec, exclude_k: int) -> np.ndarray:
+    """Mask of the interior p1 columns, skipping ``exclude_k`` columns on each
+    side of p1 = 0, where the dual is not C^2."""
     if exclude_k < 1:
         raise ValueError("exclude_k must be >= 1")
-    spec = ustar.spec
-    a11, a22, _ = second_differences(spec, ustar.values)
-    p1 = spec.x_nodes()[1:-1]
-    keep = np.abs(p1) > exclude_k * spec.hx * (1.0 + 1e-9)
+    keep = np.abs(spec.x_nodes()[1:-1]) > exclude_k * spec.hx * (1.0 + 1e-9)
     if not np.any(keep):
         raise ValueError("grid too small: no interior columns left after the line exclusion")
+    return keep
+
+
+def grushin_residual(ustar: GridFunction, alpha: float, exclude_k: int = 2) -> float:
+    """Sup of |d11 u* + |p1|^alpha d22 u*| over interior dual nodes off the
+    line (see :func:`off_line_columns`)."""
+    spec = ustar.spec
+    keep = off_line_columns(spec, exclude_k)
+    a11, a22, _ = second_differences(spec, ustar.values)
+    p1 = spec.x_nodes()[1:-1]
     res = a11[keep, :] + (np.abs(p1[keep]) ** alpha)[:, None] * a22[keep, :]
     return float(np.max(np.abs(res)))
 

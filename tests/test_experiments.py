@@ -228,43 +228,49 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line",
+    "experiment, line",
     [
-        "save_fields = ture",
-        "eps_rule = abc",
-        "eps_rule = -0.1",
-        "n_seeds = 0",
-        "gamma = 1.5",
-        "gamma = 0",
-        "resolution = 0",
-        "resolution = 3",
-        "tau = 0",
-        "n_pairs = 0",
-        "exclude_k = 0",
-        "np2 = 2",
-        "max_iterations = 0",
-        "fp_tolerance = 0",
-        "ode_step = 0",
-        "ode_t_max = -0.5",
-        "family_a = 0",
-        "semi_axes = -0.3, 0.2",
-        "semi_axes = 0.3",
-        "r_values = -1, 2",
-        "c_values = 0, 1",
-        "alpha_case2 = 0.5",
-        "domain = 1, -1, -1, 1",
-        "eps_list = 1/32, 1/16",
-        "eps_list = 1/16, 0",
-        "center = 5, 5",
-        "center = 0, 1.6",
-        "center = 0.1",
-        "center = nan, 0",
-    ],
+        pytest.param("harnack-scan", line, id=line)
+        for line in (
+            "save_fields = ture",
+            "eps_rule = abc",
+            "eps_rule = -0.1",
+            "n_seeds = 0",
+            "gamma = 1.5",
+            "gamma = 0",
+            "resolution = 0",
+            "resolution = 3",
+            "tau = 0",
+            "n_pairs = 0",
+            "exclude_k = 0",
+            "np2 = 2",
+            "max_iterations = 0",
+            "fp_tolerance = 0",
+            "ode_step = 0",
+            "ode_t_max = -0.5",
+            "family_a = 0",
+            "semi_axes = -0.3, 0.2",
+            "semi_axes = 0.3",
+            "r_values = -1, 2",
+            "c_values = 0, 1",
+            "alpha_case2 = 0.5",
+            "domain = 1, -1, -1, 1",
+            "eps_list = 1/32, 1/16",
+            "eps_list = 1/16, 0",
+            "center = 5, 5",
+            "center = 0, 1.6",
+            "center = 0.1",
+            "center = nan, 0",
+            "solver_tol = 1e-10",
+        )
+    ]
+    # doubling-check's default off-centre point (0.35, 0.1) is outside this domain
+    + [pytest.param("doubling-check", "domain = -0.2, 0.2, -0.2, 0.2", id="doubling-check: domain = -0.2, 0.2, -0.2, 0.2")],
 )
-def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, line):
+def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, experiment, line):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
-    assert cli.main(["harnack-scan", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "degenma: error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

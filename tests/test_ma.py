@@ -3,6 +3,8 @@ import inspect
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from degenma import analytic as an
 from degenma import grid as gr
@@ -14,6 +16,16 @@ TOL = 1e-10  # the default tol of ma_solve_dirichlet
 
 def square(n=65):
     return gr.GridSpec(-1.0, 1.0, -1.0, 1.0, n, n)
+
+
+def ma_residual(u: gr.GridFunction, alpha: float, eps: float) -> np.ndarray:
+    """Interior field d11 d22 - d12^2 - eta_eps(x1); NaN on the boundary ring."""
+    spec = u.spec
+    a11, a22, a12 = gr.second_differences(spec, u.values)
+    f = np.asarray(an.eta_eps(an.RegularizerSpec(alpha, eps), spec.x_nodes()[1:-1]), dtype=float)[:, None]
+    out = np.full((spec.nx, spec.ny), np.nan)
+    out[1:-1, 1:-1] = a11 * a22 - a12**2 - f
+    return out
 
 
 def test_config_validation():
@@ -82,10 +94,36 @@ def test_non_convergence_is_reported_not_raised():
     assert rep.iterations == 3
 
 
+def test_every_sweep_takes_the_full_poisson_step():
+    # liouville-fit's 65 x 129 grid, where the update sup rises once near k = 20
+    spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, 65, 129)
+    eps = 2.0 * spec.hx
+    g = functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.5))
+    mx, my = spec.nx - 2, spec.ny - 2
+
+    def lap_1d(n, h):
+        return sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1]) / h**2
+
+    lap = (sp.kron(lap_1d(mx, spec.hx), sp.eye(my)) + sp.kron(sp.eye(mx), lap_1d(my, spec.hy))).tocsc()
+    f = np.asarray(an.eta_eps(an.RegularizerSpec(1.0, eps), spec.x_nodes()[1:-1]))[:, None]
+    u = {k: ma.ma_solve_dirichlet(spec, 1.0, g, eps=eps, max_iterations=k)[0].values for k in range(19, 23)}
+    for k in (19, 20, 21):
+        a11, a22, a12 = gr.second_differences(spec, u[k])
+        rhs = np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2 + 4.0 * f)
+        ring = u[k].copy()
+        ring[1:-1, 1:-1] = 0.0
+        b11, b22, _ = gr.second_differences(spec, ring)  # boundary terms of lap_h
+        poisson = spla.spsolve(lap, (rhs - b11 - b22).ravel()).reshape(mx, my)
+        step = poisson - u[k][1:-1, 1:-1]
+        taken = u[k + 1][1:-1, 1:-1] - u[k][1:-1, 1:-1]
+        assert np.max(np.abs(step)) > 1e-6  # not converged yet, so a halved step would show
+        np.testing.assert_allclose(taken, step, rtol=0, atol=1e-12 * np.max(np.abs(u[k])))
+
+
 def test_ma_residual_quadratic_is_exact():
     spec = square(33)
     u = gr.sample(spec, lambda X, Y: 0.5 * (X**2 + Y**2))
-    res = ma.ma_residual(u, 0.0, eps=0.1)
+    res = ma_residual(u, 0.0, eps=0.1)
     assert np.nanmax(np.abs(res)) <= 1e-12
     assert np.all(np.isnan(res[0, :]))
 
@@ -95,7 +133,7 @@ def test_ma_residual_family_refines():
     for n in (33, 65):
         spec = square(n)
         u = gr.sample(spec, functools.partial(an.family_eval, an.FamilyParams(2.0, 1.0)))
-        res = ma.ma_residual(u, 2.0, eps=2.0 * spec.hx)
+        res = ma_residual(u, 2.0, eps=2.0 * spec.hx)
         sups.append(np.nanmax(np.abs(res)))
     assert sups[1] < sups[0]
 
@@ -106,7 +144,7 @@ def test_ma_residual_against_hand_determinant():
     spec = square(33)
     u = gr.sample(spec, lambda X, Y: X**2 * Y**2)
     eps = 0.05
-    res = ma.ma_residual(u, 1.0, eps=eps)
+    res = ma_residual(u, 1.0, eps=eps)
     X1, X2 = spec.meshgrid()
     eta = np.asarray(an.eta_eps(an.RegularizerSpec(1.0, eps), X1))
     expected = -12.0 * X1**2 * X2**2 - eta
