@@ -23,7 +23,6 @@ __all__ = [
     "BarrierSpec",
     "family_eval",
     "family_hessian",
-    "family_det_residual",
     "dual_closed_form",
     "phi_eval",
     "phi_grad",
@@ -112,12 +111,6 @@ def family_hessian(params: FamilyParams, x1, x2):
     zero = np.zeros(np.broadcast(x1, x2).shape)
     u11 = a * np.abs(x1) ** al + a * b * b + zero
     return _maybe_scalar(u11), _maybe_scalar(b + zero), _maybe_scalar(1.0 / a + zero)
-
-
-def family_det_residual(params: FamilyParams, x1, x2):
-    """det D2u - |x1|^alpha; identically zero in exact arithmetic."""
-    u11, u12, u22 = family_hessian(params, x1, x2)
-    return _maybe_scalar(u11 * u22 - u12**2 - np.abs(x1) ** params.alpha)
 
 
 def dual_closed_form(params: FamilyParams, p1, p2):

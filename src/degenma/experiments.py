@@ -46,24 +46,11 @@ class ExperimentConfig:
     domain: tuple[float, float, float, float] = (-1.0, 1.0, -1.0, 1.0)
     family_a: float = 1.0
     family_b: float = 0.0
-    family_ell: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    eps_rule: str = "2h"
     seed: int = 0
     n_seeds: int = 20
     gamma: float = 0.5
-    tau: float = 0.05
-    np2: int = 0
-    exclude_k: int = 2
     resolution: int = 2048
     center: tuple[float, float] = (0.0, 0.0)
-    semi_axes: tuple[float, float] = (0.3, 0.2)
-    rotation_deg: float = 30.0
-    c_values: tuple[float, ...] = (1.0, 10.0, 100.0)
-    r_values: tuple[float, ...] = (0.5, 4.0)
-    eps_list: tuple[float, ...] = (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)
-    alpha_case2: float = -0.5
-    ode_t_max: float = 0.5
-    ode_step: float = 1e-3
     fp_tolerance: float = 1e-10
     max_iterations: int = 3000
     n_pairs: int = 800
@@ -73,35 +60,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if len(self.grid_sizes) < 1 or any(
+        if len(self.grid_sizes) < 1 or self.grid_sizes[0] < 3 or any(
             b <= a for a, b in zip(self.grid_sizes, self.grid_sizes[1:])
         ):
-            raise ValueError("grid_sizes must be strictly increasing")
-        if self.eps_rule != "2h":
-            try:
-                ok = 0.0 < float(self.eps_rule) < math.inf
-            except ValueError:
-                ok = False
-            if not ok:
-                raise ValueError(f"eps_rule must be '2h' or a positive number, got {self.eps_rule!r}")
+            raise ValueError("grid_sizes must be >= 3 and strictly increasing")
         for ok, message in (
             (self.n_seeds >= 1, "n_seeds must be >= 1"),
             (0.0 < self.gamma < 1.0, "gamma must lie in (0, 1)"),
             # doubling-check integrates at resolution // 4
             (self.resolution >= 4, "resolution must be >= 4"),
-            (self.tau > 0, "tau must be > 0"),
             (self.n_pairs >= 1, "n_pairs must be >= 1"),
-            (self.exclude_k >= 1, "exclude_k must be >= 1"),
-            (self.np2 == 0 or self.np2 >= 3, "np2 must be 0 (the input's ny) or >= 3"),
             (self.max_iterations >= 1, "max_iterations must be >= 1"),
             (self.fp_tolerance > 0, "fp_tolerance must be > 0"),
-            (self.ode_step > 0, "ode_step must be > 0"),
-            (self.ode_t_max >= 0, "ode_t_max must be >= 0"),
             (self.family_a > 0, "family_a must be > 0"),
-            (len(self.semi_axes) == 2 and all(s > 0 for s in self.semi_axes), "semi_axes must be two positive values"),
-            (len(self.r_values) >= 1 and all(r > 0 for r in self.r_values), "r_values must be positive"),
-            (len(self.c_values) >= 1 and all(c > 0 for c in self.c_values), "c_values must be positive"),
-            (-1.0 < self.alpha_case2 < 0.0, "alpha_case2 must lie in (-1, 0)"),
             (
                 len(self.domain) == 4
                 and all(math.isfinite(v) for v in self.domain)
@@ -109,18 +80,17 @@ class ExperimentConfig:
                 and self.domain[2] < self.domain[3],
                 "domain must be x_lo, x_hi, y_lo, y_hi with x_lo < x_hi and y_lo < y_hi",
             ),
+            (self.alpha > -1.0, "alpha must be > -1"),
             (
                 len(self.center) == 2
                 and all(lo <= c <= hi for c, lo, hi in zip(self.center, self.domain[::2], self.domain[1::2])),
-                "center must be two values inside domain",
-            ),
-            (
-                len(self.eps_list) >= 1 and all(e > 0 for e in self.eps_list) and _strictly_decreasing(self.eps_list),
-                "eps_list must be positive and strictly decreasing",
+                f"center {self.center} must be two values inside domain {self.domain}",
             ),
         ):
             if not ok:
                 raise ValueError(message)
+        for nx in self.grid_sizes:
+            self.grid(nx)
 
     def grid(self, nx: int) -> gr.GridSpec:
         x_lo, x_hi, y_lo, y_hi = self.domain
@@ -131,13 +101,8 @@ class ExperimentConfig:
             raise ValueError("domain aspect ratio must be commensurate with the grid size")
         return gr.GridSpec(x_lo, x_hi, y_lo, y_hi, nx, ny)
 
-    def eps_for(self, spec: gr.GridSpec) -> float:
-        if self.eps_rule == "2h":
-            return 2.0 * spec.hx
-        return float(self.eps_rule)
-
     def family(self) -> an.FamilyParams:
-        return an.FamilyParams(self.alpha, self.family_a, self.family_b, self.family_ell)
+        return an.FamilyParams(self.alpha, self.family_a, self.family_b)
 
 
 @dataclass(frozen=True)
@@ -224,7 +189,7 @@ def _run_convergence_grushin(cfg: ExperimentConfig):
     rows = []
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
-        u, rep = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec))
+        u, rep = gs.solve_dirichlet(spec, cfg.alpha, g)
         err = float(np.max(np.abs(u.values - gr.sample(spec, g).values)))
         rows.append(
             {
@@ -252,9 +217,7 @@ def _run_convergence_ma(cfg: ExperimentConfig):
     delta = 10.0 * cfg.fp_tolerance
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
-        u, rep = mam.ma_solve_dirichlet(
-            spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.fp_tolerance, max_iterations=cfg.max_iterations
-        )
+        u, rep = mam.ma_solve_dirichlet(spec, cfg.alpha, g, tol=cfg.fp_tolerance, max_iterations=cfg.max_iterations)
         err = float(np.max(np.abs(u.values - gr.sample(spec, g).values)))
         rows.append(
             {
@@ -294,7 +257,7 @@ def _run_legendre_roundtrip(cfg: ExperimentConfig):
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
         u = gr.sample(spec, f)
-        err = pl.involution_check(u, cfg.np2 or None)
+        err = pl.involution_check(u)
         rows.append({"nx": nx, "h": spec.hx, "involution_error": err})
     errs = [r["involution_error"] for r in rows]
     second_order = all(
@@ -309,12 +272,10 @@ def _run_liouville_fit(cfg: ExperimentConfig):
     rows = []
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
-        u, rep = mam.ma_solve_dirichlet(
-            spec, cfg.alpha, g, eps=cfg.eps_for(spec), tol=cfg.fp_tolerance, max_iterations=cfg.max_iterations
-        )
-        dual = pl.forward_transform(u, cfg.np2 or None)
-        a_hat, b_hat, stdev = fit_family_from_dual(dual, cfg.exclude_k)
-        resid = pl.grushin_residual(dual, cfg.alpha, cfg.exclude_k)
+        u, rep = mam.ma_solve_dirichlet(spec, cfg.alpha, g, tol=cfg.fp_tolerance, max_iterations=cfg.max_iterations)
+        dual = pl.forward_transform(u)
+        a_hat, b_hat, stdev = fit_family_from_dual(dual)
+        resid = pl.grushin_residual(dual, cfg.alpha)
         rows.append(
             {
                 "nx": nx,
@@ -355,7 +316,7 @@ def _seeded_solves(cfg: ExperimentConfig):
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
         for seed, g in zip(seeds, data):
-            u, _ = gs.solve_dirichlet(spec, cfg.alpha, g, eps=cfg.eps_for(spec))
+            u, _ = gs.solve_dirichlet(spec, cfg.alpha, g)
             yield nx, spec, seed, u
 
 
@@ -393,22 +354,25 @@ def _run_holder_scan(cfg: ExperimentConfig):
     return rows, verdicts
 
 
+_ELLIPSE_SEMI_AXES = (0.3, 0.2)
+_ELLIPSE_ROTATION = np.deg2rad(30.0)
+
+
 def _run_doubling_check(cfg: ExperimentConfig):
     x_lo, x_hi, y_lo, y_hi = cfg.domain
 
     def omega(X1, X2):
         return (X1 >= x_lo) & (X1 <= x_hi) & (X2 >= y_lo) & (X2 <= y_hi)
 
-    rot = np.deg2rad(cfg.rotation_deg)
     target = 2.0 ** (-(cfg.alpha + 2.0))
     centered = an.doubling_ratio(
-        cfg.alpha, omega, cfg.domain, (0.0, 0.0), cfg.semi_axes, rot, cfg.resolution
+        cfg.alpha, omega, cfg.domain, (0.0, 0.0), _ELLIPSE_SEMI_AXES, _ELLIPSE_ROTATION, cfg.resolution
     )
     rows = [
         {"kind": "centered_ratio", "cx": 0.0, "cy": 0.0, "value": centered, "reference": target}
     ]
     cx, cy = cfg.center
-    off = an.doubling_ratio(cfg.alpha, omega, cfg.domain, (cx, cy), cfg.semi_axes, 0.0, cfg.resolution)
+    off = an.doubling_ratio(cfg.alpha, omega, cfg.domain, (cx, cy), _ELLIPSE_SEMI_AXES, 0.0, cfg.resolution)
     rows.append({"kind": "offcenter_ratio", "cx": cx, "cy": cy, "value": off, "reference": 0.0})
 
     # spot pairs (|E|/|S|, mu(E)/mu(S)) for small ellipse subsets of a section
@@ -434,21 +398,21 @@ def _run_doubling_check(cfg: ExperimentConfig):
     return rows, verdicts
 
 
+_SECTION_TAU = 0.05
+_ODE_T_MAX = 0.5
+_ODE_STEP = 1e-3
+
+
 def _run_strictconvexity_demo(cfg: ExperimentConfig):
     if not cfg.alpha > 0:
         raise ValueError("strictconvexity-demo requires alpha > 0")
     rows = []
     spec = cfg.grid(cfg.grid_sizes[-1])
     u, rep = mam.ma_solve_dirichlet(
-        spec,
-        cfg.alpha,
-        lambda X, Y: 0.0 * X,
-        eps=cfg.eps_for(spec),
-        tol=cfg.fp_tolerance,
-        max_iterations=cfg.max_iterations,
+        spec, cfg.alpha, lambda X, Y: 0.0 * X, tol=cfg.fp_tolerance, max_iterations=cfg.max_iterations
     )
     v = gr.GridFunction(spec, u.values - np.min(u.values))
-    section = an.SectionSpec(cfg.alpha, (0.0, 0.0), cfg.tau)
+    section = an.SectionSpec(cfg.alpha, (0.0, 0.0), _SECTION_TAU)
     inside = gs.section_node_mask(v, section)
     neighbor_inside = (
         np.roll(inside, 1, 0) | np.roll(inside, -1, 0) | np.roll(inside, 1, 1) | np.roll(inside, -1, 1)
@@ -461,14 +425,14 @@ def _run_strictconvexity_demo(cfg: ExperimentConfig):
     # alone underestimates max u on the boundary by O(h) |grad u|
     closed_ring = ring | (~inside & neighbor_inside)
     ring_max = float(np.max(v.values[closed_ring]))
-    comparison = mam.comparison_check(v, cfg.alpha, cfg.tau, ring_max)
+    comparison = mam.comparison_check(v, cfg.alpha, _SECTION_TAU, ring_max)
     rows.append({"part": "ma", "metric": "ring_min_gap", "value": ring_min})
     rows.append({"part": "ma", "metric": "ring_max", "value": ring_max})
     rows.append({"part": "ma", "metric": "comparison_ok", "value": float(comparison)})
     rows.append({"part": "ma", "metric": "converged", "value": float(rep.converged)})
     rows.append({"part": "ma", "metric": "iterations", "value": rep.iterations})
 
-    traj = an.ode_integrate(cfg.alpha, cfg.ode_t_max, cfg.ode_step)
+    traj = an.ode_integrate(cfg.alpha, _ODE_T_MAX, _ODE_STEP)
     y_hi = 0.8 * float(traj.t[-1])
     ospec = gr.GridSpec(-1.0, 1.0, 0.0, y_hi, cfg.grid_sizes[-1], cfg.grid_sizes[-1])
     X1, X2 = ospec.meshgrid()
@@ -486,16 +450,20 @@ def _run_strictconvexity_demo(cfg: ExperimentConfig):
     return rows, verdicts
 
 
+_BARRIER_C_VALUES = (1.0, 10.0, 100.0)
+_ALPHA_CASE2 = -0.5
+
+
 def _run_barrier_check(cfg: ExperimentConfig):
     rows = []
-    cases = (("case1", max(cfg.alpha, 0.0)), ("case2", cfg.alpha_case2))
+    cases = (("case1", max(cfg.alpha, 0.0)), ("case2", _ALPHA_CASE2))
     ok_sign = True
     for variant, alpha in cases:
         (p1_lo, p1_hi), _ = an.BarrierSpec(variant, 1.0, alpha).rectangle
         P1, P2 = np.meshgrid(
             np.linspace(p1_lo, p1_hi, 100), np.linspace(0.0, 1.0, 100, endpoint=False), indexing="ij"
         )
-        for c in cfg.c_values:
+        for c in _BARRIER_C_VALUES:
             spec = an.BarrierSpec(variant, c, alpha)
             res = np.asarray(an.barrier_L_residual(spec, P1, P2))
             worst = float(np.max(res))
@@ -515,6 +483,7 @@ def _run_barrier_check(cfg: ExperimentConfig):
 
 
 _SCALING_POINTS = ((0.3, -0.2), (-0.45, 0.35), (0.1, 0.6))
+_SCALING_RADII = (0.5, 4.0)
 
 
 def _scaling_probe(X1, X2):
@@ -530,7 +499,7 @@ def _run_scaling_check(cfg: ExperimentConfig):
     probe_action = 0.0
     for alpha in alphas:
         lam1 = lambda r: r ** (1.0 / (2.0 + alpha))
-        for r in cfg.r_values:
+        for r in _SCALING_RADII:
             ur = an.scale_pullback(_scaling_probe, r, alpha)
             for x1, x2 in _SCALING_POINTS:
                 lhs = an.grushin_fd(ur, alpha, x1, x2, h)
@@ -545,10 +514,13 @@ def _run_scaling_check(cfg: ExperimentConfig):
     }
 
 
+_EPS_LIST = (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)
+
+
 def _run_derivative_bound_scan(cfg: ExperimentConfig):
     spec = cfg.grid(cfg.grid_sizes[-1])
     g = random_positive_boundary(np.random.default_rng(cfg.seed), cfg.domain)
-    table = gs.derivative_bound_scan(spec, cfg.alpha, g, cfg.eps_list)
+    table = gs.derivative_bound_scan(spec, cfg.alpha, g, _EPS_LIST)
     rows = [{"eps": e, "ratio": r} for e, r in table]
     ratios = [r["ratio"] for r in rows]
     positive = [r for r in ratios if r > 0]
@@ -614,7 +586,6 @@ EXPERIMENTS = {
             "alpha": 2.0,
             "grid_sizes": (129,),
             "domain": (-1.0, 1.0, -0.5, 0.5),
-            "tau": 0.05,
             # qualitative demo: the degenerate zero-data problem converges at a
             # slow linear rate, so 1e-10 is out of reach in sensible time
             "fp_tolerance": 1e-7,

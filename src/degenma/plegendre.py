@@ -98,13 +98,13 @@ def forward_transform(u: GridFunction, np2: int | None = None) -> GridFunction:
     return GridFunction(dual_spec, dual)
 
 
-def involution_check(u: GridFunction, np2: int | None = None) -> float:
+def involution_check(u: GridFunction) -> float:
     """Sup of |(u*)* - u| over the common domain of the two resamplings.
 
     The dual of the dual is compared against bilinear interpolation of the
     input at the back-transformed nodes.
     """
-    back = forward_transform(forward_transform(u, np2), u.spec.ny)
+    back = forward_transform(forward_transform(u))
     # Slope noise can push the recovered x2 range marginally past the original.
     ys = np.clip(back.spec.y_nodes(), u.spec.y_lo, u.spec.y_hi)
     return float(np.max(np.abs(back.values - interp_bilinear(u, back.spec.x_nodes()[:, None], ys[None, :]))))

@@ -43,7 +43,7 @@ def test_config_file_parsing(tmp_path):
 # comment line
 alpha = 1.5   # trailing comment
 grid_sizes = 33, 65
-eps_list = 1/16, 1/32
+domain = -1, 1, -1/2, 1/2
 seed = 9
 save_fields = true
 """
@@ -51,7 +51,7 @@ save_fields = true
     cfg = make_config("convergence-grushin", config_path=path)
     assert cfg.alpha == 1.5
     assert cfg.grid_sizes == (33, 65)
-    assert cfg.eps_list == (1 / 16, 1 / 32)
+    assert cfg.domain == (-1.0, 1.0, -0.5, 0.5)
     assert cfg.seed == 9
     assert cfg.save_fields is True
 
@@ -262,8 +262,12 @@ def test_cli_exit_codes(tmp_path):
             "center = 0.1",
             "center = nan, 0",
             "solver_tol = 1e-10",
+            # 17 and 33 nodes are not commensurate with [-1.25, 1.25] x [-1.5, 1.5]
+            "grid_sizes = 17, 33",
+            "grid_sizes = 1",
         )
     ]
+    + [pytest.param("convergence-grushin", "grid_sizes = 2", id="convergence-grushin: grid_sizes = 2")]
     # doubling-check's default off-centre point (0.35, 0.1) is outside this domain
     + [pytest.param("doubling-check", "domain = -0.2, 0.2, -0.2, 0.2", id="doubling-check: domain = -0.2, 0.2, -0.2, 0.2")],
 )
@@ -271,13 +275,51 @@ def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, experiment, line):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
     assert cli.main([experiment, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "degenma: error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "degenma: error:" in err
+    if experiment == "doubling-check":
+        assert "center (0.35, 0.1) must be two values inside domain (-0.2, 0.2, -0.2, 0.2)" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "eps_rule = 2h",
+        "np2 = 0",
+        "exclude_k = 2",
+        "family_ell = 0, 0, 0",
+        "tau = 0.05",
+        "ode_t_max = 0.5",
+        "ode_step = 1e-3",
+        "semi_axes = 0.3, 0.2",
+        "rotation_deg = 30",
+        "c_values = 1, 10, 100",
+        "alpha_case2 = -0.5",
+        "r_values = 0.5, 4",
+        "eps_list = 1/16, 1/32, 1/64",
+    ],
+)
+def test_cli_removed_config_key_is_unknown(tmp_path, capsys, line):
+    # these settings are constants of the experiments that read them
+    path = tmp_path / "removed.cfg"
+    path.write_text(line + "\n")
+    assert cli.main(["barrier-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    key = line.split("=")[0].strip()
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_cli_out_of_range_gamma_flag_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["holder-scan", "--gamma", "1.5", "--out", str(tmp_path / "out")]) == 2
     assert "gamma must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, alpha", [("convergence-grushin", "-2"), ("harnack-scan", "-1")])
+def test_cli_out_of_range_alpha_flag_is_a_usage_error(tmp_path, capsys, experiment, alpha):
+    assert cli.main([experiment, "--alpha", alpha, "--out", str(tmp_path / "out")]) == 2
+    assert "alpha must be > -1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
