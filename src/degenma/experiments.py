@@ -17,7 +17,6 @@ import typing
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import analytic as an
 from . import grid as gr
@@ -117,18 +116,23 @@ class RunSummary:
         return all(self.verdicts.values())
 
 
-def random_positive_boundary(rng: np.random.Generator, domain, floor: float = 0.5, n_modes: int = 3):
-    """Seeded trigonometric polynomial, offset so its boundary minimum is the
-    floor (positive data for Harnack-type diagnostics)."""
+_BOUNDARY_FLOOR = 0.5
+_BOUNDARY_MODES = 3
+
+
+def random_positive_boundary(rng: np.random.Generator, domain):
+    """Seeded trigonometric polynomial of _BOUNDARY_MODES modes, offset so its
+    boundary minimum is _BOUNDARY_FLOOR (positive data for Harnack-type
+    diagnostics)."""
     x_lo, x_hi, y_lo, y_hi = domain
     lx, ly = x_hi - x_lo, y_hi - y_lo
-    coef = rng.uniform(-1.0, 1.0, size=(n_modes, 4))
+    coef = rng.uniform(-1.0, 1.0, size=(_BOUNDARY_MODES, 4))
 
     def raw(X1, X2):
         sx = 2.0 * np.pi * (np.asarray(X1) - x_lo) / lx
         sy = 2.0 * np.pi * (np.asarray(X2) - y_lo) / ly
         total = np.zeros(np.broadcast(X1, X2).shape)
-        for m in range(1, n_modes + 1):
+        for m in range(1, _BOUNDARY_MODES + 1):
             c1, c2, c3, c4 = coef[m - 1]
             total = total + (
                 c1 * np.cos(m * sx)
@@ -144,12 +148,16 @@ def random_positive_boundary(rng: np.random.Generator, domain, floor: float = 0.
     offset = float(np.min(raw(bx, by)))
 
     def g(X1, X2):
-        return raw(X1, X2) - offset + floor
+        return raw(X1, X2) - offset + _BOUNDARY_FLOOR
 
     return g
 
 
-def fit_family_from_dual(dual: gr.GridFunction, exclude_k: int = 2) -> tuple[float, float, float]:
+# interior p1 columns skipped on each side of the line by the family fit
+_FIT_EXCLUDE_K = 2
+
+
+def fit_family_from_dual(dual: gr.GridFunction) -> tuple[float, float, float]:
     """Estimate family parameters (a, b) from a dual sample.
 
     a_hat is the mean of d22 u* over the interior away from the line (the dual
@@ -158,7 +166,7 @@ def fit_family_from_dual(dual: gr.GridFunction, exclude_k: int = 2) -> tuple[flo
     returns the standard deviation of d22 u* (constancy diagnostic).
     """
     spec = dual.spec
-    keep = pl.off_line_columns(spec, exclude_k)
+    keep = pl.off_line_columns(spec, _FIT_EXCLUDE_K)
     _, a22, a12 = gr.second_differences(spec, dual.values)
     p1 = spec.x_nodes()[1:-1]
     if not np.any(p1 > 0):
@@ -455,6 +463,10 @@ _ALPHA_CASE2 = -0.5
 
 
 def _run_barrier_check(cfg: ExperimentConfig):
+    # imported here, not at module level: only this experiment needs
+    # scipy.optimize, and loading it slows every CLI start
+    from scipy.optimize import brentq
+
     rows = []
     cases = (("case1", max(cfg.alpha, 0.0)), ("case2", _ALPHA_CASE2))
     ok_sign = True

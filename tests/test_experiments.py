@@ -89,7 +89,7 @@ def test_liouville_fit_on_exact_dual_bypassing_solvers():
     a, b = 2.0, 0.5
     spec = gr.GridSpec(-1.0, 1.0, -0.5, 0.5, 65, 33)
     dual = gr.sample(spec, functools.partial(an.dual_closed_form, an.FamilyParams(1.0, a, -a * b)))
-    a_hat, b_hat, stdev = fit_family_from_dual(dual, exclude_k=2)
+    a_hat, b_hat, stdev = fit_family_from_dual(dual)
     assert a_hat == pytest.approx(a, abs=1e-9)
     assert b_hat == pytest.approx(b, abs=1e-9)
     assert stdev <= 1e-9
@@ -125,6 +125,17 @@ def test_liouville_fit_outputs_equal_across_processes(tmp_path):
         assert names == ["dual_33.csv", "dual_65.csv"]
         digests.append({n: hashlib.sha256((out / n).read_bytes()).hexdigest() for n in ["metrics.csv", *names]})
     assert digests[0] == digests[1]
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # only barrier-check needs brentq; it imports it when it runs
+    src = str(Path(degenma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, degenma.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_summary_json_contract(tmp_path):

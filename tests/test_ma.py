@@ -1,10 +1,16 @@
 import functools
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenma import analytic as an
 from degenma import grid as gr
@@ -94,30 +100,170 @@ def test_non_convergence_is_reported_not_raised():
     assert rep.iterations == 3
 
 
-def test_every_sweep_takes_the_full_poisson_step():
-    # liouville-fit's 65 x 129 grid, where the update sup rises once near k = 20
-    spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, 65, 129)
-    eps = 2.0 * spec.hx
-    g = functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.5))
+def dirichlet_laplacian(spec: gr.GridSpec) -> sp.csc_matrix:
+    """Five-point lap_h on the interior nodes, x-index major."""
     mx, my = spec.nx - 2, spec.ny - 2
 
     def lap_1d(n, h):
         return sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1]) / h**2
 
-    lap = (sp.kron(lap_1d(mx, spec.hx), sp.eye(my)) + sp.kron(sp.eye(mx), lap_1d(my, spec.hy))).tocsc()
-    f = np.asarray(an.eta_eps(an.RegularizerSpec(1.0, eps), spec.x_nodes()[1:-1]))[:, None]
-    u = {k: ma.ma_solve_dirichlet(spec, 1.0, g, eps=eps, max_iterations=k)[0].values for k in range(19, 23)}
-    for k in (19, 20, 21):
-        a11, a22, a12 = gr.second_differences(spec, u[k])
-        rhs = np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2 + 4.0 * f)
-        ring = u[k].copy()
+    return (sp.kron(lap_1d(mx, spec.hx), sp.eye(my)) + sp.kron(sp.eye(mx), lap_1d(my, spec.hy))).tocsc()
+
+
+class PlainSweeps:
+    """The fixed-point map written out with a sparse direct Poisson solve:
+    W(v) solves lap_h P = sqrt((v11 - v22)^2 + 4 v12^2 + 4 f) with P = g on
+    the boundary; ``start`` is the solver's warm start."""
+
+    def __init__(self, spec, alpha, g):
+        self.spec = spec
+        self.lap = dirichlet_laplacian(spec)
+        self.f = np.asarray(an.eta_eps(an.RegularizerSpec(alpha, 2.0 * spec.hx), spec.x_nodes()[1:-1]))[:, None]
+        ring = gr.sample(spec, g).values.copy()
         ring[1:-1, 1:-1] = 0.0
-        b11, b22, _ = gr.second_differences(spec, ring)  # boundary terms of lap_h
-        poisson = spla.spsolve(lap, (rhs - b11 - b22).ravel()).reshape(mx, my)
-        step = poisson - u[k][1:-1, 1:-1]
-        taken = u[k + 1][1:-1, 1:-1] - u[k][1:-1, 1:-1]
-        assert np.max(np.abs(step)) > 1e-6  # not converged yet, so a halved step would show
-        np.testing.assert_allclose(taken, step, rtol=0, atol=1e-12 * np.max(np.abs(u[k])))
+        self.ring = ring
+        self.b11, self.b22, _ = gr.second_differences(spec, ring)  # boundary terms of lap_h
+
+    def poisson(self, rhs):
+        u = self.ring.copy()
+        u[1:-1, 1:-1] = spla.spsolve(self.lap, (rhs - self.b11 - self.b22).ravel()).reshape(rhs.shape)
+        return u
+
+    def start(self):
+        return self.poisson(np.broadcast_to(2.0 * np.sqrt(self.f), self.b11.shape))
+
+    def terms(self, u):
+        """(identity residual field, Poisson right-hand side, min(d11, d22)) at u."""
+        a11, a22, a12 = gr.second_differences(self.spec, u)
+        rhs = np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2 + 4.0 * self.f)
+        return a11 + a22 - rhs, rhs, min(np.min(a11), np.min(a22))
+
+
+def test_first_sweep_takes_the_full_poisson_step():
+    # liouville-fit's 65 x 129 grid
+    spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, 65, 129)
+    g = functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.5))
+    ref = PlainSweeps(spec, 1.0, g)
+    u0 = ref.start()
+    _, rhs, _ = ref.terms(u0)
+    step = ref.poisson(rhs)
+    u1, rep = ma.ma_solve_dirichlet(spec, 1.0, g, max_iterations=1)
+    assert not rep.converged and rep.iterations == 1
+    assert np.max(np.abs(step - u0)) > 1e-6  # a damped or extrapolated step would show
+    np.testing.assert_allclose(u1.values, step, rtol=0, atol=1e-12 * np.max(np.abs(step)))
+
+
+def anderson_reference(ref: PlainSweeps, sweeps: int, depth: int = 5, tol: float = TOL) -> list[np.ndarray]:
+    """Iterates 1..sweeps of type-II Anderson(depth) on W, with a dense
+    least-squares fit of the identity residual e over the last ``depth``
+    differences: v <- W(v) - dW gamma, gamma = argmin |e - dE gamma|_2. The
+    history is dropped when sup |e| rises or min(d11, d22) falls while below
+    -10 tol."""
+    u = ref.start()
+    es, ws, out = [], [], []
+    last_res, last_min = np.inf, -np.inf
+    for _ in range(sweeps):
+        e, rhs, min_d = ref.terms(u)
+        res = np.max(np.abs(e))
+        if res > last_res or (min_d < -10.0 * tol and min_d < last_min):
+            es, ws = [], []
+        last_res, last_min = res, min_d
+        es = (es + [e.ravel()])[-(depth + 1) :]
+        ws = (ws + [ref.poisson(rhs)[1:-1, 1:-1].ravel()])[-(depth + 1) :]
+        step = ws[-1]
+        if len(es) > 1:
+            d_e = np.diff(np.array(es), axis=0).T
+            d_w = np.diff(np.array(ws), axis=0).T
+            gamma = np.linalg.lstsq(d_e, es[-1], rcond=None)[0]
+            step = step - d_w @ gamma
+        u = u.copy()
+        u[1:-1, 1:-1] = step.reshape(e.shape)
+        out.append(u)
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, alpha, g, restarted",
+    [
+        (square(33), 1.0, functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.5)), False),
+        # zero data at alpha = 2: min(d11, d22) of the early iterates is
+        # negative and falls every other sweep, so the history is dropped
+        (square(33), 2.0, lambda X, Y: 0.0 * X, True),
+    ],
+    ids=["family", "zero-data"],
+)
+def test_iterates_match_dense_anderson_reference(spec, alpha, g, restarted):
+    expected = anderson_reference(PlainSweeps(spec, alpha, g), 8)
+    for k in range(1, 9):
+        u, rep = ma.ma_solve_dirichlet(spec, alpha, g, max_iterations=k)
+        assert rep.iterations == k and not rep.converged
+        scale = np.max(np.abs(expected[k - 1]))
+        np.testing.assert_allclose(u.values, expected[k - 1], rtol=0, atol=1e-10 * scale)
+    assert (rep.extras["restarts"] > 0) == restarted
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    alpha=st.floats(0.0, 2.0),
+    a=st.floats(0.5, 3.0),
+    b=st.floats(-1.0, 1.0),
+    n=st.integers(17, 33),
+)
+def test_converged_means_close_to_the_discrete_solution(alpha, a, b, n):
+    spec = square(n)
+    g = functools.partial(an.family_eval, an.FamilyParams(alpha, a, b))
+    u, rep = ma.ma_solve_dirichlet(spec, alpha, g)
+    assert rep.converged
+    rho, restarts = rep.extras["rho"], rep.extras["restarts"]
+    assert 0.0 <= rho <= 0.999
+    assert isinstance(restarts, int) and restarts >= 0
+    assert rep.final_residual <= (1.0 - rho) * TOL
+    # the fixed point by plain sweeps, to a step of TOL / 100
+    ref = PlainSweeps(spec, alpha, g)
+    fixed = ref.start()
+    for _ in range(3000):
+        _, rhs, _ = ref.terms(fixed)
+        nxt = ref.poisson(rhs)
+        step = np.max(np.abs(nxt - fixed))
+        fixed = nxt
+        if step <= TOL / 100.0:
+            break
+    assert step <= TOL / 100.0
+    assert np.max(np.abs(u.values - fixed)) <= 100.0 * TOL
+
+
+def test_restarts_and_contraction_estimate_on_zero_data():
+    # strictconvexity-demo at a coarser grid: non-convex early iterates force
+    # restarts, and the slow degenerate problem has a visible contraction rate
+    spec = gr.GridSpec(-1.0, 1.0, -0.5, 0.5, 65, 33)
+    _, rep = ma.ma_solve_dirichlet(spec, 2.0, lambda X, Y: 0.0 * X, tol=1e-7, max_iterations=6000)
+    assert rep.converged
+    assert rep.extras["restarts"] >= 1
+    assert 0.0 < rep.extras["rho"] < 0.999
+    assert rep.final_residual <= (1.0 - rep.extras["rho"]) * 1e-7
+    assert rep.extras["min_d11"] >= -1e-6 and rep.extras["min_d22"] >= -1e-6
+
+
+def test_solution_does_not_depend_on_the_blas_thread_count():
+    # liouville-fit's 257 x 513 solve, large enough for BLAS to use threads
+    code = (
+        "import functools, hashlib\n"
+        "from degenma import analytic as an, grid as gr, ma\n"
+        "spec = gr.GridSpec(-1.0, 1.0, -2.0, 2.0, 257, 513)\n"
+        "g = functools.partial(an.family_eval, an.FamilyParams(1.0, 2.0, 0.5))\n"
+        "u, rep = ma.ma_solve_dirichlet(spec, 1.0, g)\n"
+        "assert rep.converged\n"
+        "print(hashlib.sha256(u.values.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(ma.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_ma_residual_quadratic_is_exact():
