@@ -120,35 +120,55 @@ _BOUNDARY_FLOOR = 0.5
 _BOUNDARY_MODES = 3
 
 
+def _boundary_trig(domain, X1, X2):
+    """The seed-independent factors of the boundary polynomial at (X1, X2):
+    per mode m the tuple (cos m sx, sin m sy, cos m(sx + sy), sin m sx), and
+    cos(sy / 2), where (sx, sy) are the points' angles on the domain."""
+    x_lo, x_hi, y_lo, y_hi = domain
+    sx = 2.0 * np.pi * (np.asarray(X1) - x_lo) / (x_hi - x_lo)
+    sy = 2.0 * np.pi * (np.asarray(X2) - y_lo) / (y_hi - y_lo)
+    modes = tuple(
+        (np.cos(m * sx), np.sin(m * sy), np.cos(m * (sx + sy)), np.sin(m * sx))
+        for m in range(1, _BOUNDARY_MODES + 1)
+    )
+    return modes, np.cos(0.5 * sy)
+
+
+def _boundary_polynomial(coef: np.ndarray, trig):
+    """sum over m of (c1 cos m sx + c2 sin m sy + c3 cos m(sx + sy)
+    + c4 sin m sx cos(sy / 2)) / m^2 from the factors of _boundary_trig."""
+    modes, half = trig
+    total = np.zeros(np.shape(modes[0][2]))  # cos m(sx + sy) has the points' shape
+    for m, ((cos_x, sin_y, cos_xy, sin_x), (c1, c2, c3, c4)) in enumerate(zip(modes, coef), start=1):
+        total = total + (c1 * cos_x + c2 * sin_y + c3 * cos_xy + c4 * sin_x * half) / (m * m)
+    return total
+
+
+@functools.lru_cache(maxsize=1)
+def _ring_trig(domain: tuple[float, float, float, float]):
+    """_boundary_trig at the 4 x 4097 edge points where random_positive_boundary
+    takes its minimum, read-only: every seed on one domain reuses them."""
+    x_lo, x_hi, y_lo, y_hi = domain
+    lx, ly = x_hi - x_lo, y_hi - y_lo
+    t = np.linspace(0.0, 1.0, 4097)
+    bx = np.concatenate([x_lo + t * lx, x_lo + t * lx, np.full_like(t, x_lo), np.full_like(t, x_hi)])
+    by = np.concatenate([np.full_like(t, y_lo), np.full_like(t, y_hi), y_lo + t * ly, y_lo + t * ly])
+    modes, half = _boundary_trig(domain, bx, by)
+    for factor in (half, *(f for mode in modes for f in mode)):
+        factor.setflags(write=False)
+    return modes, half
+
+
 def random_positive_boundary(rng: np.random.Generator, domain):
     """Seeded trigonometric polynomial of _BOUNDARY_MODES modes, offset so its
     boundary minimum is _BOUNDARY_FLOOR (positive data for Harnack-type
     diagnostics)."""
-    x_lo, x_hi, y_lo, y_hi = domain
-    lx, ly = x_hi - x_lo, y_hi - y_lo
+    domain = tuple(float(v) for v in domain)
     coef = rng.uniform(-1.0, 1.0, size=(_BOUNDARY_MODES, 4))
-
-    def raw(X1, X2):
-        sx = 2.0 * np.pi * (np.asarray(X1) - x_lo) / lx
-        sy = 2.0 * np.pi * (np.asarray(X2) - y_lo) / ly
-        total = np.zeros(np.broadcast(X1, X2).shape)
-        for m in range(1, _BOUNDARY_MODES + 1):
-            c1, c2, c3, c4 = coef[m - 1]
-            total = total + (
-                c1 * np.cos(m * sx)
-                + c2 * np.sin(m * sy)
-                + c3 * np.cos(m * (sx + sy))
-                + c4 * np.sin(m * sx) * np.cos(0.5 * sy)
-            ) / (m * m)
-        return total
-
-    t = np.linspace(0.0, 1.0, 4097)
-    bx = np.concatenate([x_lo + t * lx, x_lo + t * lx, np.full_like(t, x_lo), np.full_like(t, x_hi)])
-    by = np.concatenate([np.full_like(t, y_lo), np.full_like(t, y_hi), y_lo + t * ly, y_lo + t * ly])
-    offset = float(np.min(raw(bx, by)))
+    offset = float(np.min(_boundary_polynomial(coef, _ring_trig(domain))))
 
     def g(X1, X2):
-        return raw(X1, X2) - offset + _BOUNDARY_FLOOR
+        return _boundary_polynomial(coef, _boundary_trig(domain, X1, X2)) - offset + _BOUNDARY_FLOOR
 
     return g
 

@@ -149,10 +149,16 @@ def solve_dirichlet(spec: GridSpec, alpha: float, g, eps: float | None = None) -
 
 
 def section_node_mask(u: GridFunction, section: SectionSpec) -> np.ndarray:
-    """Boolean mask of grid nodes strictly inside the section; the section must
-    fit inside the grid."""
+    """Read-only boolean mask of grid nodes strictly inside the section; the
+    section must fit inside the grid. Masks of recent (grid, section) pairs
+    are kept, so a scan over seeds on one grid builds its mask once."""
+    return _node_mask(u.spec, section)
+
+
+# lru_cache keeps no exception: an out-of-grid section raises on every call
+@functools.lru_cache(maxsize=8)
+def _node_mask(s: GridSpec, section: SectionSpec) -> np.ndarray:
     x_lo, x_hi, y_lo, y_hi = section_bbox(section)
-    s = u.spec
     slack = 1e-9
     if (
         x_lo < s.x_lo - slack
@@ -162,7 +168,9 @@ def section_node_mask(u: GridFunction, section: SectionSpec) -> np.ndarray:
     ):
         raise ValueError("section is not contained in the grid")
     X1, X2 = s.meshgrid()
-    return section_contains(section, X1, X2)
+    mask = section_contains(section, X1, X2)
+    mask.setflags(write=False)
+    return mask
 
 
 def harnack_quotient(u: GridFunction, section: SectionSpec) -> HarnackReport:

@@ -154,6 +154,32 @@ def test_section_bbox_matches_membership():
     assert np.all(an.section_contains(s, pairs[..., 0], pairs[..., 1]))
 
 
+@pytest.mark.parametrize("center", [[0.3, -0.2], np.array([0.3, -0.2]), (np.float64(0.3), -0.2)])
+def test_section_spec_stores_center_as_a_tuple_of_floats(center):
+    s = an.SectionSpec(2, center, 1)
+    assert s.center == (0.3, -0.2) and all(type(c) is float for c in s.center)
+    assert type(s.alpha) is float and type(s.height) is float
+    # equal specs are one cache key, and share one box
+    assert hash(s) == hash(an.SectionSpec(2.0, (0.3, -0.2), 1.0))
+    assert an.section_bbox(s) == an.section_bbox(an.SectionSpec(2.0, (0.3, -0.2), 1.0))
+
+
+@pytest.mark.parametrize(
+    "center, height, message",
+    [
+        ((np.nan, 0.0), 1.0, "center must be finite"),
+        ((0.0, np.inf), 1.0, "center must be finite"),
+        ((0.0, 0.0, 0.0), 1.0, "center must be a 2D point"),
+        ((0.0, 0.0), np.nan, "height must be finite and > 0"),
+        ((0.0, 0.0), np.inf, "height must be finite and > 0"),
+        ((0.0, 0.0), 0.0, "height must be finite and > 0"),
+    ],
+)
+def test_section_spec_rejects_non_finite_input(center, height, message):
+    with pytest.raises(ValueError, match=message):
+        an.SectionSpec(1.0, center, height)
+
+
 def test_mu_alpha_measure_examples():
     disk = an.mu_alpha_measure(0.0, lambda X, Y: X**2 + Y**2 < 1, (-1, 1, -1, 1), 2048)
     assert disk == pytest.approx(np.pi, abs=1e-3)

@@ -12,7 +12,9 @@ import pytest
 import degenma
 from degenma import analytic as an
 from degenma import cli
+from degenma import experiments as ex
 from degenma import grid as gr
+from degenma import grushin as gs
 from degenma.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -224,6 +226,69 @@ def test_random_positive_boundary_properties():
     assert np.min(edges) >= 0.49
     g2 = random_positive_boundary(np.random.default_rng(4), (-1.0, 1.0, -1.0, 1.0))
     np.testing.assert_array_equal(g(t, np.full_like(t, 1.0)), g2(t, np.full_like(t, 1.0)))
+
+
+def _reference_random_positive_boundary(rng, domain):
+    # the boundary data as first written: one closure that evaluates the
+    # polynomial afresh at the 4 x 4097 offset points for every seed
+    x_lo, x_hi, y_lo, y_hi = domain
+    lx, ly = x_hi - x_lo, y_hi - y_lo
+    coef = rng.uniform(-1.0, 1.0, size=(3, 4))
+
+    def raw(X1, X2):
+        sx = 2.0 * np.pi * (np.asarray(X1) - x_lo) / lx
+        sy = 2.0 * np.pi * (np.asarray(X2) - y_lo) / ly
+        total = np.zeros(np.broadcast(X1, X2).shape)
+        for m in range(1, 4):
+            c1, c2, c3, c4 = coef[m - 1]
+            total = total + (
+                c1 * np.cos(m * sx)
+                + c2 * np.sin(m * sy)
+                + c3 * np.cos(m * (sx + sy))
+                + c4 * np.sin(m * sx) * np.cos(0.5 * sy)
+            ) / (m * m)
+        return total
+
+    t = np.linspace(0.0, 1.0, 4097)
+    bx = np.concatenate([x_lo + t * lx, x_lo + t * lx, np.full_like(t, x_lo), np.full_like(t, x_hi)])
+    by = np.concatenate([np.full_like(t, y_lo), np.full_like(t, y_hi), y_lo + t * ly, y_lo + t * ly])
+    offset = float(np.min(raw(bx, by)))
+    return lambda X1, X2: raw(X1, X2) - offset + 0.5
+
+
+@pytest.mark.parametrize("domain", [(-1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, -2.0, 2.0), (-0.3, 1.7, 0.25, 0.75)])
+def test_random_positive_boundary_matches_the_uncached_closure(domain):
+    # interleaved domains miss the one-entry offset cache in turn
+    spec = gr.GridSpec(*domain, 33, 17)
+    X1, X2 = spec.meshgrid()
+    ring = spec.boundary_mask()
+    for seed in (0, 1, 7, 123):
+        for dom in (domain, (-1.0, 1.0, -1.0, 1.0)):
+            g = random_positive_boundary(np.random.default_rng(seed), dom)
+            ref = _reference_random_positive_boundary(np.random.default_rng(seed), dom)
+            np.testing.assert_array_equal(g(X1[ring], X2[ring]), ref(X1[ring], X2[ring]))
+            # scalars and broadcasting pairs keep the reference's shapes and bits
+            np.testing.assert_array_equal(g(X1[:, :1], X2[:1, :]), ref(X1[:, :1], X2[:1, :]))
+            assert g(0.1, domain[2]) == ref(0.1, domain[2])
+
+
+def test_seeded_scan_samples_the_offset_points_and_bisects_once():
+    ex._ring_trig.cache_clear()
+    an._section_bbox.cache_clear()
+    summary = run(make_config("harnack-scan", grid_sizes=(21, 41), n_seeds=3))
+    assert len(summary.rows) == 6
+    assert ex._ring_trig.cache_info().misses == 1
+    assert an._section_bbox.cache_info().misses == 1
+
+
+def test_warm_caches_write_the_same_metrics(tmp_path):
+    for cached in (ex._ring_trig, an._section_bbox, gs._node_mask, gs._factor):
+        cached.cache_clear()
+    digests = []
+    for name in ("cold", "warm"):
+        run(make_config("harnack-scan", out_dir=str(tmp_path / name)))
+        digests.append(hashlib.sha256((tmp_path / name / "metrics.csv").read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_cli_exit_codes(tmp_path):

@@ -309,3 +309,142 @@ def test_seeded_scan_factors_once_per_grid():
     summary = run(make_config("harnack-scan", grid_sizes=(21, 41), n_seeds=3))
     assert len(summary.rows) == 6
     assert gs._factor.cache_info().misses == 2
+
+
+def test_section_node_mask_is_a_read_only_fresh_mask():
+    spec = gr.GridSpec(-1.25, 1.25, -1.5, 1.5, 41, 49)
+    u = gr.sample(spec, lambda X, Y: X + Y)
+    section = an.SectionSpec(2.0, (0.1, -0.2), 1.0)
+    gs._node_mask.cache_clear()
+    for _ in range(2):
+        mask = gs.section_node_mask(u, section)
+        assert not mask.flags.writeable
+        np.testing.assert_array_equal(mask, an.section_contains(section, *spec.meshgrid()))
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 0] = True
+
+
+def test_out_of_grid_section_raises_on_every_call():
+    u = gr.sample(square(17), lambda X, Y: X + Y)
+    section = an.SectionSpec(0.0, (0.0, 0.0), 4.0)
+    gs._node_mask.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not contained in the grid"):
+            gs.section_node_mask(u, section)
+
+
+_MASK_GRIDS = (
+    gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 17, 17),
+    gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 33, 33),
+    gr.GridSpec(-1.25, 1.25, -1.5, 1.5, 11, 13),
+)
+_MASK_SECTIONS = (
+    an.SectionSpec(2.0, (0.0, 0.0), 0.5),
+    an.SectionSpec(2.0, (0.0, 0.0), 1.0),
+    an.SectionSpec(0.5, (0.2, -0.1), 0.3),
+    an.SectionSpec(-0.5, (-0.3, 0.4), 0.2),
+    an.SectionSpec(0.0, (0.0, 0.0), 2.0),  # leaves every grid
+)
+
+
+def _mask_or_error(spec, section):
+    try:
+        return gs.section_node_mask(gr.GridFunction(spec, np.zeros((spec.nx, spec.ny))), section)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    order=st.lists(
+        st.tuples(st.integers(0, len(_MASK_GRIDS) - 1), st.integers(0, len(_MASK_SECTIONS) - 1)),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_cached_boxes_and_masks_equal_fresh_ones(order):
+    # 15 (grid, section) keys against an 8-entry mask cache: hits, misses
+    # and evictions in any order give what an empty cache gives
+    an._section_bbox.cache_clear()
+    gs._node_mask.cache_clear()
+    cached = [(an.section_bbox(_MASK_SECTIONS[k]), _mask_or_error(_MASK_GRIDS[i], _MASK_SECTIONS[k])) for i, k in order]
+    for (i, k), (box, mask) in zip(order, cached):
+        an._section_bbox.cache_clear()
+        gs._node_mask.cache_clear()
+        assert an.section_bbox(_MASK_SECTIONS[k]) == box
+        fresh = _mask_or_error(_MASK_GRIDS[i], _MASK_SECTIONS[k])
+        if isinstance(fresh, str):
+            assert fresh == mask
+        else:
+            np.testing.assert_array_equal(fresh, mask)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic invariants of the discrete Dirichlet problem
+# ---------------------------------------------------------------------------
+
+
+def _node_data(spec, values):
+    """Boundary data taking values[i, j] at node (i, j) of spec."""
+
+    def g(X1, X2):
+        i = np.rint((np.asarray(X1) - spec.x_lo) / spec.hx).astype(int)
+        j = np.rint((np.asarray(X2) - spec.y_lo) / spec.hy).astype(int)
+        return values[i, j]
+
+    return g
+
+
+_invariant_cases = dict(
+    nx=st.integers(3, 33),
+    ny=st.integers(3, 33),
+    width=st.floats(0.2, 5.0),
+    height=st.floats(0.2, 5.0),
+    alpha=st.floats(-1.0, 4.0, exclude_min=True),
+    eps_frac=st.none() | st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _invariant_setup(nx, ny, width, height, eps_frac, seed):
+    # x1-symmetric domain, so reflecting x1 maps the grid (and eta) to itself
+    spec = gr.GridSpec(-0.5 * width, 0.5 * width, 0.3, 0.3 + height, nx, ny)
+    eps = None if eps_frac is None else eps_frac * width
+    return spec, eps, np.random.default_rng(seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(-10.0, 10.0), **_invariant_cases)
+def test_solve_is_linear_in_the_data(c, nx, ny, width, height, alpha, eps_frac, seed):
+    spec, eps, rng = _invariant_setup(nx, ny, width, height, eps_frac, seed)
+    v1, v2 = rng.normal(size=(2, nx, ny))
+    u1, _ = gs.solve_dirichlet(spec, alpha, _node_data(spec, v1), eps=eps)
+    u2, _ = gs.solve_dirichlet(spec, alpha, _node_data(spec, v2), eps=eps)
+    u12, _ = gs.solve_dirichlet(spec, alpha, _node_data(spec, v1 + c * v2), eps=eps)
+    scale = np.max(np.abs(v1)) + abs(c) * np.max(np.abs(v2))
+    assert np.max(np.abs(u12.values - (u1.values + c * u2.values))) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_invariant_cases)
+def test_reflected_data_give_the_reflected_solution(nx, ny, width, height, alpha, eps_frac, seed):
+    spec, eps, rng = _invariant_setup(nx, ny, width, height, eps_frac, seed)
+    v = rng.normal(size=(nx, ny))
+    u, _ = gs.solve_dirichlet(spec, alpha, _node_data(spec, v), eps=eps)
+    scale = np.max(np.abs(v))
+    # eta is even in x1; the operator does not see x2
+    for flip in (np.s_[::-1, :], np.s_[:, ::-1]):
+        w, _ = gs.solve_dirichlet(spec, alpha, _node_data(spec, v[flip]), eps=eps)
+        assert np.max(np.abs(w.values - u.values[flip])) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_invariant_cases)
+def test_ordered_data_give_ordered_solutions(nx, ny, width, height, alpha, eps_frac, seed):
+    # the five-point operator is an M-matrix: its inverse is nonnegative
+    spec, eps, rng = _invariant_setup(nx, ny, width, height, eps_frac, seed)
+    v1 = rng.normal(size=(nx, ny))
+    v2 = v1 + np.abs(rng.normal(size=(nx, ny))) * rng.integers(0, 2, size=(nx, ny))
+    u1, _ = gs.solve_dirichlet(spec, alpha, _node_data(spec, v1), eps=eps)
+    u2, _ = gs.solve_dirichlet(spec, alpha, _node_data(spec, v2), eps=eps)
+    assert np.all(u1.values <= u2.values + 1e-12 * np.max(np.abs(v2)))
