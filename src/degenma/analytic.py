@@ -23,7 +23,6 @@ __all__ = [
     "OdeTrajectory",
     "BarrierSpec",
     "family_eval",
-    "family_hessian",
     "dual_closed_form",
     "phi_eval",
     "phi_grad",
@@ -39,7 +38,6 @@ __all__ = [
     "scale_pullback",
     "grushin_fd",
     "ode_integrate",
-    "ode_residual",
     "ode_solution_eval",
     "barrier_L_residual",
     "barrier_root",
@@ -52,8 +50,8 @@ def _maybe_scalar(v: np.ndarray):
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not alpha > -1.0:
-        raise ValueError("alpha must be > -1")
+    if not (alpha > -1.0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be > -1 and finite")
     return alpha
 
 
@@ -101,17 +99,6 @@ def family_eval(params: FamilyParams, x1, x2):
         + _affine(params.ell, x1, x2)
     )
     return _maybe_scalar(val)
-
-
-def family_hessian(params: FamilyParams, x1, x2):
-    """Hessian entries (u11, u12, u22) at (x1, x2), each of their broadcast
-    shape; for alpha < 0 the line x1 = 0 is excluded."""
-    al, a, b = params.alpha, params.a, params.b
-    if al < 0 and np.any(x1 == 0.0):
-        raise ValueError("hessian is unbounded on x1 = 0 for alpha < 0")
-    zero = np.zeros(np.broadcast(x1, x2).shape)
-    u11 = a * np.abs(x1) ** al + a * b * b + zero
-    return _maybe_scalar(u11), _maybe_scalar(b + zero), _maybe_scalar(1.0 / a + zero)
 
 
 def dual_closed_form(params: FamilyParams, p1, p2):
@@ -308,29 +295,27 @@ def mu_alpha_measure(alpha: float, region, bbox, resolution: int = 1024) -> floa
 
 def doubling_ratio(
     alpha: float,
-    omega_region,
-    omega_bbox,
+    domain,
     center,
     semi_axes,
     rotation: float = 0.0,
     resolution: int = 1024,
 ) -> float:
-    """mu_alpha(center + E) / mu_alpha((center + 2E) n Omega) for an ellipse E."""
+    """mu_alpha(center + E) / mu_alpha((center + 2E) n Omega) for an ellipse E
+    and the rectangle Omega = ``domain`` (x_lo, x_hi, y_lo, y_hi). The
+    denominator integrates over the box of 2E cut to Omega, so every cell it
+    counts lies in Omega."""
     cx, cy = (float(c) for c in center)
     ax, ay = (float(s) for s in semi_axes)
     e1 = ellipse_region((cx, cy), (ax, ay), rotation)
     e2 = ellipse_region((cx, cy), (2 * ax, 2 * ay), rotation)
     num = mu_alpha_measure(alpha, e1, ellipse_bbox((cx, cy), (ax, ay), rotation), resolution)
     b2 = ellipse_bbox((cx, cy), (2 * ax, 2 * ay), rotation)
-    ob = tuple(float(v) for v in omega_bbox)
+    ob = tuple(float(v) for v in domain)
     inter = (max(b2[0], ob[0]), min(b2[1], ob[1]), max(b2[2], ob[2]), min(b2[3], ob[3]))
     if not (inter[0] < inter[1] and inter[2] < inter[3]):
         raise ValueError("doubled ellipse does not meet the domain")
-
-    def den_region(X1, X2):
-        return e2(X1, X2) & np.asarray(omega_region(X1, X2), dtype=bool)
-
-    den = mu_alpha_measure(alpha, den_region, inter, resolution)
+    den = mu_alpha_measure(alpha, e2, inter, resolution)
     if den <= 0:
         raise ValueError("doubled ellipse has vanishing weighted measure in the domain")
     return num / den
@@ -451,14 +436,18 @@ def _ode_accel(alpha: float, w, wp):
     return (4.0 + (alpha + 2.0) ** 2 * wp * wp) / (alpha * (alpha + 2.0) * w)
 
 
-def ode_integrate(alpha: float, t_max: float, step: float) -> OdeTrajectory:
-    """Integrate the profile ODE on [0, t_max]; stops early (flagged) at blow-up."""
+_ODE_T_MAX = 0.5
+_ODE_STEP = 1e-3
+
+
+def ode_integrate(alpha: float) -> OdeTrajectory:
+    """Integrate the profile ODE on [0, _ODE_T_MAX] at step _ODE_STEP; stops
+    early (flagged) at blow-up."""
     alpha = float(alpha)
     if not alpha > 0:
         raise ValueError("the ODE coefficient alpha(alpha+2)/4 requires alpha > 0")
-    if not (step > 0 and t_max >= 0):
-        raise ValueError("need step > 0 and t_max >= 0")
-    n_steps = int(round(t_max / step))
+    step = _ODE_STEP
+    n_steps = int(round(_ODE_T_MAX / step))
     ts = [0.0]
     ws = [1.0]
     wps = [1.0]
@@ -480,26 +469,7 @@ def ode_integrate(alpha: float, t_max: float, step: float) -> OdeTrajectory:
         ts.append((k + 1) * step)
         ws.append(w)
         wps.append(wp)
-    return OdeTrajectory(alpha, float(step), np.array(ts), np.array(ws), np.array(wps), truncated)
-
-
-def ode_residual(traj: OdeTrajectory) -> np.ndarray:
-    """Per-sample ODE residual on the interior samples t[3:-3].
-
-    w'' is reconstructed from the stored w' samples with the 6th-order
-    centered first-difference, so the check is independent of the closed-form
-    acceleration used by the integrator.
-    """
-    if len(traj.t) < 7:
-        raise ValueError("trajectory too short for the residual stencil")
-    wp = traj.wp
-    h = traj.step
-    wacc = (
-        -wp[:-6] + 9.0 * wp[1:-5] - 45.0 * wp[2:-4] + 45.0 * wp[4:-2] - 9.0 * wp[5:-1] + wp[6:]
-    ) / (60.0 * h)
-    a = traj.alpha
-    lhs = a * (a + 2.0) / 4.0 * traj.w[3:-3] * wacc - (a + 2.0) ** 2 / 4.0 * wp[3:-3] ** 2
-    return lhs - 1.0
+    return OdeTrajectory(alpha, step, np.array(ts), np.array(ws), np.array(wps), truncated)
 
 
 def _ode_dense_w(traj: OdeTrajectory, t) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import time
+import types
 import typing
 from dataclasses import dataclass
 
@@ -49,7 +50,7 @@ class ExperimentConfig:
     n_seeds: int = 20
     gamma: float = 0.5
     resolution: int = 2048
-    center: tuple[float, float] = (0.0, 0.0)
+    center: tuple[float, float] | None = None
     fp_tolerance: float = 1e-10
     max_iterations: int = 3000
     n_pairs: int = 800
@@ -70,8 +71,10 @@ class ExperimentConfig:
             (self.resolution >= 4, "resolution must be >= 4"),
             (self.n_pairs >= 1, "n_pairs must be >= 1"),
             (self.max_iterations >= 1, "max_iterations must be >= 1"),
-            (self.fp_tolerance > 0, "fp_tolerance must be > 0"),
-            (self.family_a > 0, "family_a must be > 0"),
+            (0 < self.fp_tolerance < math.inf, "fp_tolerance must be finite and > 0"),
+            (0 < self.family_a < math.inf, "family_a must be finite and > 0"),
+            (math.isfinite(self.family_b), "family_b must be finite"),
+            (self.seed >= 0, "seed must be >= 0"),
             (
                 len(self.domain) == 4
                 and all(math.isfinite(v) for v in self.domain)
@@ -79,9 +82,10 @@ class ExperimentConfig:
                 and self.domain[2] < self.domain[3],
                 "domain must be x_lo, x_hi, y_lo, y_hi with x_lo < x_hi and y_lo < y_hi",
             ),
-            (self.alpha > -1.0, "alpha must be > -1"),
+            (-1.0 < self.alpha < math.inf, "alpha must be > -1 and finite"),
             (
-                len(self.center) == 2
+                self.center is None
+                or len(self.center) == 2
                 and all(lo <= c <= hi for c, lo, hi in zip(self.center, self.domain[::2], self.domain[1::2])),
                 f"center {self.center} must be two values inside domain {self.domain}",
             ),
@@ -173,10 +177,6 @@ def random_positive_boundary(rng: np.random.Generator, domain):
     return g
 
 
-# interior p1 columns skipped on each side of the line by the family fit
-_FIT_EXCLUDE_K = 2
-
-
 def fit_family_from_dual(dual: gr.GridFunction) -> tuple[float, float, float]:
     """Estimate family parameters (a, b) from a dual sample.
 
@@ -186,7 +186,7 @@ def fit_family_from_dual(dual: gr.GridFunction) -> tuple[float, float, float]:
     returns the standard deviation of d22 u* (constancy diagnostic).
     """
     spec = dual.spec
-    keep = pl.off_line_columns(spec, _FIT_EXCLUDE_K)
+    keep = pl.off_line_columns(spec)
     _, a22, a12 = gr.second_differences(spec, dual.values)
     p1 = spec.x_nodes()[1:-1]
     if not np.any(p1 > 0):
@@ -206,10 +206,10 @@ def _strictly_decreasing(xs) -> bool:
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
-def _maybe_save(cfg: ExperimentConfig, name: str, u: gr.GridFunction) -> None:
+def _maybe_save(cfg: ExperimentConfig, name: str, u: gr.GridFunction, **csv_options) -> None:
     if cfg.save_fields and cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        gr.write_csv(u, os.path.join(cfg.out_dir, name))
+        gr.write_csv(u, os.path.join(cfg.out_dir, name), **csv_options)
 
 
 def _run_convergence_grushin(cfg: ExperimentConfig):
@@ -317,9 +317,7 @@ def _run_liouville_fit(cfg: ExperimentConfig):
                 "converged": int(rep.converged),
             }
         )
-        if cfg.save_fields and cfg.out_dir:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            pl.write_dual_csv(dual, os.path.join(cfg.out_dir, f"dual_{nx}.csv"))
+        _maybe_save(cfg, f"dual_{nx}.csv", dual, header=("p1", "p2", "ustar"))
     last = rows[-1]
     verdicts = {
         "all_converged": all(r["converged"] for r in rows),
@@ -387,20 +385,17 @@ _ELLIPSE_ROTATION = np.deg2rad(30.0)
 
 
 def _run_doubling_check(cfg: ExperimentConfig):
-    x_lo, x_hi, y_lo, y_hi = cfg.domain
-
-    def omega(X1, X2):
-        return (X1 >= x_lo) & (X1 <= x_hi) & (X2 >= y_lo) & (X2 <= y_hi)
-
+    if cfg.center is None:
+        raise ValueError("doubling-check needs a center")
     target = 2.0 ** (-(cfg.alpha + 2.0))
     centered = an.doubling_ratio(
-        cfg.alpha, omega, cfg.domain, (0.0, 0.0), _ELLIPSE_SEMI_AXES, _ELLIPSE_ROTATION, cfg.resolution
+        cfg.alpha, cfg.domain, (0.0, 0.0), _ELLIPSE_SEMI_AXES, _ELLIPSE_ROTATION, cfg.resolution
     )
     rows = [
         {"kind": "centered_ratio", "cx": 0.0, "cy": 0.0, "value": centered, "reference": target}
     ]
     cx, cy = cfg.center
-    off = an.doubling_ratio(cfg.alpha, omega, cfg.domain, (cx, cy), _ELLIPSE_SEMI_AXES, 0.0, cfg.resolution)
+    off = an.doubling_ratio(cfg.alpha, cfg.domain, (cx, cy), _ELLIPSE_SEMI_AXES, 0.0, cfg.resolution)
     rows.append({"kind": "offcenter_ratio", "cx": cx, "cy": cy, "value": off, "reference": 0.0})
 
     # spot pairs (|E|/|S|, mu(E)/mu(S)) for small ellipse subsets of a section
@@ -427,8 +422,6 @@ def _run_doubling_check(cfg: ExperimentConfig):
 
 
 _SECTION_TAU = 0.05
-_ODE_T_MAX = 0.5
-_ODE_STEP = 1e-3
 
 
 def _run_strictconvexity_demo(cfg: ExperimentConfig):
@@ -460,7 +453,7 @@ def _run_strictconvexity_demo(cfg: ExperimentConfig):
     rows.append({"part": "ma", "metric": "converged", "value": float(rep.converged)})
     rows.append({"part": "ma", "metric": "iterations", "value": rep.iterations})
 
-    traj = an.ode_integrate(cfg.alpha, _ODE_T_MAX, _ODE_STEP)
+    traj = an.ode_integrate(cfg.alpha)
     y_hi = 0.8 * float(traj.t[-1])
     ospec = gr.GridSpec(-1.0, 1.0, 0.0, y_hi, cfg.grid_sizes[-1], cfg.grid_sizes[-1])
     X1, X2 = ospec.meshgrid()
@@ -546,13 +539,10 @@ def _run_scaling_check(cfg: ExperimentConfig):
     }
 
 
-_EPS_LIST = (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)
-
-
 def _run_derivative_bound_scan(cfg: ExperimentConfig):
     spec = cfg.grid(cfg.grid_sizes[-1])
     g = random_positive_boundary(np.random.default_rng(cfg.seed), cfg.domain)
-    table = gs.derivative_bound_scan(spec, cfg.alpha, g, _EPS_LIST)
+    table = gs.derivative_bound_scan(spec, cfg.alpha, g)
     rows = [{"eps": e, "ratio": r} for e, r in table]
     ratios = [r["ratio"] for r in rows]
     positive = [r for r in ratios if r > 0]
@@ -669,6 +659,8 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false":
 
 
 def _coerce(name: str, kind, raw: str):
+    if isinstance(kind, types.UnionType):  # X | None: a value in a file is an X
+        (kind,) = (k for k in typing.get_args(kind) if k is not type(None))
     if kind is float:
         return _parse_number(raw)
     if kind is int:
@@ -680,7 +672,7 @@ def _coerce(name: str, kind, raw: str):
     if typing.get_origin(kind) is tuple:
         parse = int if typing.get_args(kind)[0] is int else _parse_number
         return tuple(parse(s) for s in raw.split(","))
-    if kind in (str, str | None):
+    if kind is str:
         return raw
     raise ValueError(f"cannot parse config key {name!r}")
 

@@ -102,14 +102,11 @@ def second_differences(spec: GridSpec, v: np.ndarray) -> tuple[np.ndarray, np.nd
     return d11, d22, d12
 
 
-def sup_norm(u: GridFunction, mask: np.ndarray | None = None) -> float:
-    """Sup of |u| over all nodes, or over a boolean node mask."""
-    v = u.values
-    if mask is not None:
-        if not np.any(mask):
-            raise ValueError("empty mask")
-        v = v[mask]
-    return float(np.max(np.abs(v)))
+def sup_norm(u: GridFunction, mask: np.ndarray) -> float:
+    """Sup of |u| over the nodes of a boolean node mask."""
+    if not np.any(mask):
+        raise ValueError("empty mask")
+    return float(np.max(np.abs(u.values[mask])))
 
 
 def holder_seminorm(u: GridFunction, gamma: float, pairs: np.ndarray) -> float:

@@ -208,15 +208,13 @@ def holder_estimate(
     return holder_seminorm(u, gamma, pairs) / denom
 
 
-def derivative_bound_scan(spec: GridSpec, alpha: float, g, eps_list) -> list[tuple[float, float]]:
-    """For each eps, solve and report sup |D2 u| over the centered half-size
-    sub-rectangle divided by sup |g| on the boundary. The column must stay
-    bounded as eps decreases."""
-    eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list):
-        raise ValueError("eps values must be positive")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps values must be strictly decreasing")
+_EPS_LIST = (1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)
+
+
+def derivative_bound_scan(spec: GridSpec, alpha: float, g) -> list[tuple[float, float]]:
+    """For each eps of _EPS_LIST, solve and report sup |D2 u| over the centered
+    half-size sub-rectangle divided by sup |g| on the boundary. The column must
+    stay bounded as eps decreases."""
     g_arr = boundary_array(spec, g)
     sup_g = float(np.max(np.abs(g_arr[spec.boundary_mask()])))
     xc = 0.5 * (spec.x_lo + spec.x_hi)
@@ -227,7 +225,7 @@ def derivative_bound_scan(spec: GridSpec, alpha: float, g, eps_list) -> list[tup
     # centered D2 lives on the y-interior nodes
     inner = ((np.abs(X1 - xc) <= qx) & (np.abs(X2 - yc) <= qy))[:, 1:-1]
     rows = []
-    for eps in eps_list:
+    for eps in _EPS_LIST:
         u, _ = solve_dirichlet(spec, alpha, g, eps=eps)
         d2 = first_difference_x2(spec, u.values)
         ratio = 0.0 if sup_g == 0.0 else float(np.max(np.abs(d2[inner]))) / sup_g

@@ -155,18 +155,15 @@ def ma_solve_dirichlet(
     return GridFunction(spec, u), report
 
 
-def comparison_check(
-    u: GridFunction,
-    alpha: float,
-    tau: float,
-    ustar_boundary_max: float,
-    tol: float = 1e-9,
-) -> bool:
+_COMPARISON_TOL = 1e-9
+
+
+def comparison_check(u: GridFunction, alpha: float, tau: float, ustar_boundary_max: float) -> bool:
     """Two-sided comparison bound inside the origin-centered section of height tau:
 
         0 <= u <= sqrt(1/c(alpha)) (phi - tau) + ustar_boundary_max
 
-    checked at every grid node strictly inside the section, within ``tol``.
+    checked at every grid node strictly inside the section, within _COMPARISON_TOL.
     """
     if not tau > 0:
         raise ValueError("tau must be > 0")
@@ -178,4 +175,4 @@ def comparison_check(
     phi = phi_eval(alpha, X1[mask], X2[mask])
     upper = np.sqrt(1.0 / phi_det_coefficient(alpha)) * (phi - tau) + ustar_boundary_max
     vals = u.values[mask]
-    return bool(np.all(vals >= -tol) and np.all(vals <= upper + tol))
+    return bool(np.all(vals >= -_COMPARISON_TOL) and np.all(vals <= upper + _COMPARISON_TOL))

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFunction, GridSpec, first_difference_x2, interp_bilinear, second_differences, write_csv
+from .grid import GridFunction, GridSpec, first_difference_x2, interp_bilinear, second_differences
 
 __all__ = [
     "forward_transform",
     "involution_check",
     "grushin_residual",
     "off_line_columns",
-    "write_dual_csv",
 ]
 
 
@@ -64,17 +63,14 @@ def _column_resample(
 _MONOTONE_TOL = 1e-12
 
 
-def forward_transform(u: GridFunction, np2: int | None = None) -> GridFunction:
+def forward_transform(u: GridFunction) -> GridFunction:
     """Transform a field strictly convex in x2 into its dual u*(p1, p2) on
-    ``np2`` uniform p2 nodes (defaults to the input's ny).
+    as many uniform p2 nodes as the input has x2 nodes.
 
     The p1 nodes are the input's x1 nodes; the p2 range is the common slope
     interval [max over columns of min D2u, min over columns of max D2u].
     """
     spec = u.spec
-    np2 = spec.ny if np2 is None else int(np2)
-    if np2 < 3:
-        raise ValueError("np2 must be >= 3")
     p = _x2_gradient(u)
     gaps = np.diff(p, axis=1)
     bad = np.min(gaps, axis=1) <= _MONOTONE_TOL
@@ -88,13 +84,13 @@ def forward_transform(u: GridFunction, np2: int | None = None) -> GridFunction:
     hi = float(np.min(p[:, -1]))
     if not hi > lo:
         raise ValueError("empty dual range: the column slope intervals do not overlap")
-    targets = np.linspace(lo, hi, np2)
+    targets = np.linspace(lo, hi, spec.ny)
     y = spec.y_nodes()
     w = y[None, :] * p - u.values
-    dual = np.empty((spec.nx, np2))
+    dual = np.empty((spec.nx, spec.ny))
     for i in range(spec.nx):
         dual[i] = _column_resample(p[i], w[i], y, targets)
-    dual_spec = GridSpec(spec.x_lo, spec.x_hi, lo, hi, spec.nx, np2)
+    dual_spec = GridSpec(spec.x_lo, spec.x_hi, lo, hi, spec.nx, spec.ny)
     return GridFunction(dual_spec, dual)
 
 
@@ -110,28 +106,24 @@ def involution_check(u: GridFunction) -> float:
     return float(np.max(np.abs(back.values - interp_bilinear(u, back.spec.x_nodes()[:, None], ys[None, :]))))
 
 
-def off_line_columns(spec: GridSpec, exclude_k: int) -> np.ndarray:
-    """Mask of the interior p1 columns, skipping ``exclude_k`` columns on each
+_EXCLUDE_K = 2
+
+
+def off_line_columns(spec: GridSpec) -> np.ndarray:
+    """Mask of the interior p1 columns, skipping _EXCLUDE_K columns on each
     side of p1 = 0, where the dual is not C^2."""
-    if exclude_k < 1:
-        raise ValueError("exclude_k must be >= 1")
-    keep = np.abs(spec.x_nodes()[1:-1]) > exclude_k * spec.hx * (1.0 + 1e-9)
+    keep = np.abs(spec.x_nodes()[1:-1]) > _EXCLUDE_K * spec.hx * (1.0 + 1e-9)
     if not np.any(keep):
         raise ValueError("grid too small: no interior columns left after the line exclusion")
     return keep
 
 
-def grushin_residual(ustar: GridFunction, alpha: float, exclude_k: int = 2) -> float:
+def grushin_residual(ustar: GridFunction, alpha: float) -> float:
     """Sup of |d11 u* + |p1|^alpha d22 u*| over interior dual nodes off the
     line (see :func:`off_line_columns`)."""
     spec = ustar.spec
-    keep = off_line_columns(spec, exclude_k)
+    keep = off_line_columns(spec)
     a11, a22, _ = second_differences(spec, ustar.values)
     p1 = spec.x_nodes()[1:-1]
     res = a11[keep, :] + (np.abs(p1[keep]) ** alpha)[:, None] * a22[keep, :]
     return float(np.max(np.abs(res)))
-
-
-def write_dual_csv(ustar: GridFunction, path) -> None:
-    """CSV serialization with header p1,p2,ustar (same layout as GridFunction)."""
-    write_csv(ustar, path, header=("p1", "p2", "ustar"))

@@ -42,6 +42,12 @@ def liouville_summary():
 # ---------------------------------------------------------------------------
 
 
+def family_hessian(params: an.FamilyParams, x1: float, x2: float):
+    """Closed-form hessian entries (u11, u12, u22) of the family member."""
+    a, b = params.a, params.b
+    return a * abs(x1) ** params.alpha + a * b * b, b, 1.0 / a
+
+
 def test_c01_family_identity():
     rng = np.random.default_rng(2024)
     n = 10_000
@@ -60,7 +66,7 @@ def test_c01_family_identity():
         resid = np.abs(det - np.abs(x1) ** alpha)
         # ell is affine: it never enters the hessian; spot check via family_hessian
         params = an.FamilyParams(alpha, float(a[0]), float(b[0]), (0.3, -0.2, 0.9))
-        h11, h12, h22 = an.family_hessian(params, float(x1[0]), float(x2[0]))
+        h11, h12, h22 = family_hessian(params, float(x1[0]), float(x2[0]))
         resid0 = abs(h11 * h22 - h12**2 - abs(x1[0]) ** alpha)
         worst = max(worst, float(np.max(resid)), resid0)
     _report(1, "family-identity", worst <= 1e-12, f"max residual {worst:.2e}")
@@ -185,22 +191,28 @@ def test_c09_harnack():
 
 
 def test_c10_doubling():
-    omega = lambda X, Y: (np.abs(X) <= 1) & (np.abs(Y) <= 1)
     ok = True
     detail = []
     for alpha in (0.0, 2.0):
         target = 2.0 ** (-(alpha + 2.0))
-        ratio = an.doubling_ratio(
-            alpha, omega, (-1, 1, -1, 1), (0.0, 0.0), (0.3, 0.2), np.deg2rad(30.0), 2048
-        )
+        ratio = an.doubling_ratio(alpha, (-1, 1, -1, 1), (0.0, 0.0), (0.3, 0.2), np.deg2rad(30.0), 2048)
         ok &= abs(ratio - target) <= 1e-3
         detail.append(f"alpha={alpha}: {ratio:.6f} vs {target:.6f}")
     _report(10, "doubling", ok, "; ".join(detail))
 
 
+def ode_residual(traj: an.OdeTrajectory) -> np.ndarray:
+    """Per-sample ODE residual on the interior samples t[3:-3], with w''
+    from the 6th-order centered difference of the stored w' samples: no use
+    of the closed-form acceleration the integrator steps with."""
+    wp, h, a = traj.wp, traj.step, traj.alpha
+    wacc = (-wp[:-6] + 9.0 * wp[1:-5] - 45.0 * wp[2:-4] + 45.0 * wp[4:-2] - 9.0 * wp[5:-1] + wp[6:]) / (60.0 * h)
+    return a * (a + 2.0) / 4.0 * traj.w[3:-3] * wacc - (a + 2.0) ** 2 / 4.0 * wp[3:-3] ** 2 - 1.0
+
+
 def test_c11_ode_example():
-    traj = an.ode_integrate(2.0, 0.5, 1e-3)
-    res = float(np.max(np.abs(an.ode_residual(traj))))
+    traj = an.ode_integrate(2.0)
+    res = float(np.max(np.abs(ode_residual(traj))))
 
     ys = np.linspace(0.0, 0.5, 41)
     on_line = np.abs(an.ode_solution_eval(traj, np.zeros_like(ys), ys))

@@ -129,6 +129,13 @@ def test_liouville_fit_outputs_equal_across_processes(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_liouville_fit_writes_the_dual_with_its_own_header(tmp_path):
+    run(make_config("liouville-fit", grid_sizes=(17,), save_fields=True, out_dir=str(tmp_path)))
+    lines = (tmp_path / "dual_17.csv").read_text().splitlines()
+    assert lines[0] == "p1,p2,ustar"
+    assert len(lines) == 1 + 17 * 33  # the dual has the input's 17 x 33 nodes
+
+
 def test_cli_import_does_not_load_scipy_optimize():
     # only barrier-check needs brentq; it imports it when it runs
     src = str(Path(degenma.__file__).resolve().parents[1])
@@ -175,8 +182,7 @@ def test_doubling_check_labels_the_configured_center():
     summary = run(make_config("doubling-check", alpha=0.0, resolution=256, center=(0.5, 0.0)))
     off = [r for r in summary.rows if r["kind"] == "offcenter_ratio"][0]
     assert (off["cx"], off["cy"]) == (0.5, 0.0)
-    omega = lambda X1, X2: (np.abs(X1) <= 1.0) & (np.abs(X2) <= 1.0)
-    expected = an.doubling_ratio(0.0, omega, (-1.0, 1.0, -1.0, 1.0), (0.5, 0.0), (0.3, 0.2), 0.0, 256)
+    expected = an.doubling_ratio(0.0, (-1.0, 1.0, -1.0, 1.0), (0.5, 0.0), (0.3, 0.2), 0.0, 256)
     assert off["value"] == expected
 
 
@@ -214,6 +220,10 @@ def test_solver_failure_becomes_failing_verdict():
     summary = run(make_config("strictconvexity-demo", alpha=-0.5))
     assert summary.verdicts == {"completed": False}
     assert "error" in summary.config_echo
+    # doubling-check reads center, which only its registry entry sets
+    summary = run(ExperimentConfig(experiment="doubling-check"))
+    assert summary.verdicts == {"completed": False}
+    assert "needs a center" in summary.config_echo["error"]
 
 
 def test_random_positive_boundary_properties():
@@ -337,6 +347,11 @@ def test_cli_exit_codes(tmp_path):
             "center = 0, 1.6",
             "center = 0.1",
             "center = nan, 0",
+            "alpha = inf",
+            "family_a = inf",
+            "family_b = nan",
+            "fp_tolerance = inf",
+            "seed = -1",
             "solver_tol = 1e-10",
             # 17 and 33 nodes are not commensurate with [-1.25, 1.25] x [-1.5, 1.5]
             "grid_sizes = 17, 33",
@@ -392,11 +407,29 @@ def test_cli_out_of_range_gamma_flag_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("experiment, alpha", [("convergence-grushin", "-2"), ("harnack-scan", "-1")])
+@pytest.mark.parametrize(
+    "experiment, alpha", [("convergence-grushin", "-2"), ("harnack-scan", "-1"), ("harnack-scan", "inf")]
+)
 def test_cli_out_of_range_alpha_flag_is_a_usage_error(tmp_path, capsys, experiment, alpha):
     assert cli.main([experiment, "--alpha", alpha, "--out", str(tmp_path / "out")]) == 2
     assert "alpha must be > -1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_unset_center_is_not_checked(tmp_path):
+    # convergence-grushin never reads center, so a domain off the origin is fine
+    path = tmp_path / "off.cfg"
+    path.write_text("domain = 0.5, 1.5, -0.5, 0.5\n")
+    assert cli.main(["convergence-grushin", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config_echo"]
+    assert echo["center"] is None
+
+
+def test_config_file_reads_an_optional_center(tmp_path):
+    path = tmp_path / "center.cfg"
+    path.write_text("center = 0.25, -0.5\n")
+    assert make_config("doubling-check", config_path=path).center == (0.25, -0.5)
+    assert make_config("doubling-check").center == (0.35, 0.1)
 
 
 def test_every_default_config_is_valid():

@@ -187,21 +187,17 @@ def test_harnack_stability_between_grid_levels():
 
 def test_derivative_bound_scan_examples():
     spec = square(65)
-    rows = gs.derivative_bound_scan(spec, 2.0, lambda X, Y: 3.0 + 0.0 * X, [1 / 16, 1 / 32])
+    rows = gs.derivative_bound_scan(spec, 2.0, lambda X, Y: 3.0 + 0.0 * X)
+    assert [e for e, _ in rows] == [1 / 16, 1 / 32, 1 / 64]
     assert all(r <= 1e-10 for _, r in rows)
 
-    rows = gs.derivative_bound_scan(spec, 2.0, lambda X, Y: Y + 0.0 * X, [1 / 16, 1 / 32, 1 / 64])
+    rows = gs.derivative_bound_scan(spec, 2.0, lambda X, Y: Y + 0.0 * X)
     assert all(r == pytest.approx(1.0, abs=1e-9) for _, r in rows)
 
     g = lambda X, Y: 1.0 + 0.5 * np.sin(2 * X) * np.cos(Y) + 0.2 * np.cos(3 * Y)
-    rows = gs.derivative_bound_scan(spec, 2.0, g, [1 / 16, 1 / 32, 1 / 64])
+    rows = gs.derivative_bound_scan(spec, 2.0, g)
     ratios = [r for _, r in rows]
     assert max(ratios) / min(ratios) <= 1.5
-
-    with pytest.raises(ValueError):
-        gs.derivative_bound_scan(spec, 2.0, g, [1 / 32, 1 / 16])
-    with pytest.raises(ValueError):
-        gs.derivative_bound_scan(spec, 2.0, g, [0.0, -1.0])
 
 
 def test_solve_report_json_round_trip():

@@ -308,6 +308,61 @@ def test_monotonicity_in_the_right_hand_side():
     assert np.min(u_small_f.values - u_big_f.values) >= -1e-7
 
 
+# Discrete invariants of the scheme. The Dirichlet data are a family member
+# plus a non-negative bump that is neither affine nor symmetric.
+_invariant_cases = dict(
+    alpha=st.floats(-0.9, 3.0),
+    a=st.floats(0.5, 2.0),
+    b=st.floats(-1.0, 1.0),
+    c=st.floats(0.0, 1.0),
+    n=st.integers(9, 33),
+)
+
+
+def _bumped_family(alpha, a, b, c):
+    fam = functools.partial(an.family_eval, an.FamilyParams(alpha, a, b))
+    return lambda X, Y: fam(X, Y) + c * np.sin(3.0 * X + 2.0 * Y) ** 2
+
+
+def _converged_solve(spec, alpha, g) -> np.ndarray:
+    u, rep = ma.ma_solve_dirichlet(spec, alpha, g)
+    assert rep.converged
+    return u.values
+
+
+@settings(max_examples=10, deadline=None)
+@given(ell=st.tuples(*3 * [st.floats(-1.0, 1.0)]), **_invariant_cases)
+def test_affine_data_are_added_to_the_solution(ell, alpha, a, b, c, n):
+    # second differences annihilate an affine function
+    spec, g = square(n), _bumped_family(alpha, a, b, c)
+    c0, c1, c2 = ell
+    affine = lambda X, Y: c0 + c1 * X + c2 * Y
+    u = _converged_solve(spec, alpha, g)
+    v = _converged_solve(spec, alpha, lambda X, Y: g(X, Y) + affine(X, Y))
+    assert np.max(np.abs(v - u - gr.sample(spec, affine).values)) <= 1e-11
+
+
+@settings(max_examples=10, deadline=None)
+@given(signs=st.sampled_from([(-1, 1), (1, -1), (-1, -1)]), **_invariant_cases)
+def test_reflected_data_give_the_reflected_solution(signs, alpha, a, b, c, n):
+    # eta is even in x1, and det D2u is unchanged by either reflection
+    spec, g = square(n), _bumped_family(alpha, a, b, c)
+    s1, s2 = signs
+    u = _converged_solve(spec, alpha, g)
+    w = _converged_solve(spec, alpha, lambda X, Y: g(s1 * X, s2 * Y))
+    assert np.max(np.abs(w - u[::s1, ::s2])) <= 1e-11
+
+
+@settings(max_examples=10, deadline=None)
+@given(d=st.floats(0.0, 1.0), **_invariant_cases)
+def test_ordered_data_give_ordered_solutions(d, alpha, a, b, c, n):
+    # the comparison principle, which the scheme is not proved to keep
+    spec, g = square(n), _bumped_family(alpha, a, b, c)
+    u = _converged_solve(spec, alpha, g)
+    above = _converged_solve(spec, alpha, lambda X, Y: g(X, Y) + d * (1.0 + np.cos(2.0 * X - Y)))
+    assert np.min(above - u) >= -1e-11
+
+
 def test_comparison_check_plug_in_and_violation():
     alpha = 2.0
     tau = 0.05
