@@ -77,10 +77,12 @@ class FamilyParams:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not self.a > 0:
-            raise ValueError("a must be > 0")
+        if not (self.a > 0 and math.isfinite(self.a)):
+            raise ValueError("a must be > 0 and finite")
         if len(self.ell) != 3:
             raise ValueError("ell takes three coefficients (c0, c1, c2)")
+        if not all(math.isfinite(c) for c in (self.b, *self.ell)):
+            raise ValueError("b and ell must be finite")
 
 
 def _affine(ell, x1, x2):
@@ -336,8 +338,8 @@ class RegularizerSpec:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not self.eps > 0:
-            raise ValueError("eps must be > 0")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be > 0 and finite")
 
 
 def eta_eps(spec: RegularizerSpec, x1):

@@ -6,6 +6,7 @@ Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  argparse's gettext imports it on every parse; load it at start-up
 import sys
 
 from .experiments import EXPERIMENTS, make_config, run
@@ -33,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--out", help="output directory for metrics.csv and summary.json")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--alpha", type=float, help="override the config alpha")
+    parser.add_argument("--alpha", type=float, help="override the config alpha: finite and > -1 (> 0 for strictconvexity-demo)")
     parser.add_argument("--gamma", type=float, help="override the Holder exponent")
     parser.add_argument("--save-fields", action="store_true", help="also write per-grid field CSVs")
     return parser

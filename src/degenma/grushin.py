@@ -13,8 +13,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, idst
-from scipy.linalg.lapack import dpttrf, dpttrs
+from numpy.fft import rfft
+from numpy.random import default_rng
 
 from .analytic import RegularizerSpec, SectionSpec, eta_eps, section_bbox, section_contains, section_sample_pairs
 from .grid import GridFunction, GridSpec, first_difference_x2, holder_seminorm, second_differences, sup_norm
@@ -23,6 +23,7 @@ __all__ = [
     "SolveReport",
     "HarnackReport",
     "solve_dirichlet",
+    "solve_dirichlet_many",
     "harnack_quotient",
     "holder_estimate",
     "derivative_bound_scan",
@@ -77,14 +78,19 @@ def boundary_array(spec: GridSpec, g) -> np.ndarray:
 
 def boundary_rhs(spec: GridSpec, g_arr: np.ndarray, eta_interior: np.ndarray) -> np.ndarray:
     """Dirichlet data moved to the right-hand side of :class:`_SeparableFactor`'s
-    operator: the terms of the boundary neighbors of each interior node."""
+    operator, (mx, my): the terms of the boundary neighbors of each interior node."""
     mx, my = spec.nx - 2, spec.ny - 2
     b = np.zeros((mx, my))
     b[0, :] += g_arr[0, 1:-1] / spec.hx**2
     b[-1, :] += g_arr[-1, 1:-1] / spec.hx**2
     b[:, 0] += eta_interior / spec.hy**2 * g_arr[1:-1, 0]
     b[:, -1] += eta_interior / spec.hy**2 * g_arr[1:-1, -1]
-    return b.ravel()
+    return b
+
+
+# doubles of one transform pass: a solve transforms its block a few x1 rows at
+# a time, so the extension and spectrum buffers stay this small and in cache
+_PASS_VALUES = 1 << 14
 
 
 class _SeparableFactor:
@@ -92,24 +98,81 @@ class _SeparableFactor:
     (2/hx^2 + 2 eta_i/hy^2) u_ij - (x-neighbors)/hx^2 - eta_i (y-neighbors)/hy^2.
     An orthonormal DST-I in x2 splits it into one SPD tridiagonal system
     T_x + lambda_k diag(eta) per sine mode k, lambda_k = (2 - 2 cos(k pi/(ny - 1)))/hy^2
-    (Buzbee-Golub-Nielson 1970), stacked k-major and factored once as L D L^T.
-    ``solve`` maps a flat right-hand side to the flat solution, x-index major."""
+    (Buzbee-Golub-Nielson 1970), factored once as L D L^T with LAPACK dpttrf's
+    arithmetic, one x1 row of all modes at a time.
+
+    ``solve`` takes a block of k right-hand sides laid out (mx, k, my), in any
+    shape with that memory order (one flat x-major vector is k = 1), and
+    returns the solutions in a new array of the same shape. Each column of a
+    block is solved bitwise as it would be alone. ``solve`` works in buffers
+    the factor keeps, so one factor must not be used by two threads at once."""
 
     def __init__(self, spec: GridSpec, eta_interior: np.ndarray):
         self.shape = mx, my = spec.nx - 2, spec.ny - 2
         lam = (2.0 - 2.0 * np.cos(np.arange(1, my + 1) * np.pi / (spec.ny - 1))) / spec.hy**2
-        off = np.full((my, mx), -1.0 / spec.hx**2)
-        off[:, -1] = 0.0  # modes are uncoupled; the wrapper takes max(n - 1, 1) entries
-        diag = 2.0 / spec.hx**2 + lam[:, None] * eta_interior
-        self.d, self.e, info = dpttrf(diag.ravel(), off.ravel()[: max(mx * my - 1, 1)])
-        if info:
-            raise np.linalg.LinAlgError(f"operator is not positive definite (dpttrf info {info})")
+        off = -1.0 / spec.hx**2
+        d = 2.0 / spec.hx**2 + eta_interior[:, None] * lam
+        e = np.empty((mx - 1, my))
+        # dpttrf: e <- e/d, d+ <- d+ - e e_old. Rows after a pivot d <= 0 are
+        # garbage, but the pivot itself stays in d for the check below.
+        with np.errstate(all="ignore"):
+            for i in range(mx - 1):
+                np.divide(off, d[i], out=e[i])
+                d[i + 1] -= e[i] * off
+        if not np.all(d > 0):
+            raise np.linalg.LinAlgError("operator is not positive definite")
+        # rows shaped (1, my) like a k = 1 block's rows, which numpy handles fastest
+        self.d = d[:, None, :]
+        self.e = list(e[:, None, :])
+        self._k = 0
+
+    def _buffers(self, k: int):
+        """Extension, spectrum and sweep-row buffers for blocks of k, kept for the last k."""
+        if k != self._k:
+            mx, my = self.shape
+            rows = min(mx, max(1, _PASS_VALUES // (k * (my + 1))))
+            self._ext = np.zeros((rows, k, 2 * (my + 1)))
+            self._spectrum = np.empty((rows, k, my + 2), dtype=complex)
+            self._sweep = np.empty((2, k, my))
+            self._k = k
+        return self._ext, self._spectrum, self._sweep
+
+    def _dst(self, src: np.ndarray, out: np.ndarray, ext: np.ndarray, spectrum: np.ndarray) -> None:
+        """Orthonormal DST-I along the last axis, its own inverse: the rfft of
+        the odd extension [0, x, 0, -x reversed], read off as -Im."""
+        my = self.shape[1]
+        ext[..., 1 : my + 1] = src
+        np.negative(src, out=ext[..., : my + 1 : -1])
+        rfft(ext, norm="ortho", out=spectrum)
+        np.negative(spectrum.imag[..., 1 : my + 1], out=out)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         mx, my = self.shape
-        # dpttrs reports only illegal arguments, which a factor from __init__ rules out
-        x, _ = dpttrs(self.d, self.e, dst(b.reshape(mx, my), type=1, axis=1, norm="ortho").T.ravel())
-        return idst(x.reshape(my, mx).T, type=1, axis=1, norm="ortho").ravel()
+        rhs = b.reshape(mx, -1, my)
+        x = np.empty(rhs.shape)
+        ext, spectrum, (tmp, carry) = self._buffers(rhs.shape[1])
+        step, rows, d, e = len(ext), list(x), self.d, self.e
+        mul, sub = np.multiply, np.subtract
+        # dpttrs: forward x_i -= e_{i-1} x_{i-1}, divide by d, back x_i -= e_i x_{i+1},
+        # with the sine transform done a pass of rows at a time
+        for lo in range(0, mx, step):
+            hi = min(lo + step, mx)
+            self._dst(rhs[lo:hi], x[lo:hi], ext[: hi - lo], spectrum[: hi - lo])
+            for i in range(max(lo, 1), hi):
+                mul(rows[i - 1], e[i - 1], tmp)
+                sub(rows[i], tmp, rows[i])
+        for hi in range(mx, 0, -step):
+            lo = max(hi - step, 0)
+            x[lo:hi] /= d[lo:hi]
+            if hi < mx:  # row hi is transformed back already; carry keeps its modes
+                mul(carry, e[hi - 1], tmp)
+                sub(rows[hi - 1], tmp, rows[hi - 1])
+            for i in range(hi - 2, lo - 1, -1):
+                mul(rows[i + 1], e[i], tmp)
+                sub(rows[i], tmp, rows[i])
+            carry[...] = rows[lo]
+            self._dst(x[lo:hi], x[lo:hi], ext[: hi - lo], spectrum[: hi - lo])
+        return x.reshape(b.shape)
 
 
 @functools.lru_cache(maxsize=1)
@@ -127,25 +190,44 @@ def solve_dirichlet(spec: GridSpec, alpha: float, g, eps: float | None = None) -
     on the boundary nodes. ``eps`` defaults to 2 hx, tying the regularization
     plateau to what the grid can resolve. The factor of the operator is cached
     for the last (spec, alpha, eps)."""
+    return next(solve_dirichlet_many(spec, alpha, [g], eps))
+
+
+# interior values of one block solve (8 MiB of doubles): the 20 seeds of the
+# default scans are one block, and any number of seeds stays bounded
+_BLOCK_VALUES = 1 << 20
+
+
+def solve_dirichlet_many(spec: GridSpec, alpha: float, data, eps: float | None = None):
+    """Yield :func:`solve_dirichlet`'s (u, report) for each boundary callable
+    in the sequence ``data``, in order. They are solved in blocks on one
+    factor; each result is bitwise the single solve's."""
     if eps is None:
         eps = 2.0 * spec.hx
-    g_arr = boundary_array(spec, g)
     eta_int, factor = _factor(spec, float(alpha), float(eps))
-    b = boundary_rhs(spec, g_arr, eta_int)
-    u = np.array(g_arr)
-    u[1:-1, 1:-1] = factor.solve(b).reshape(spec.nx - 2, spec.ny - 2)
-    d11, d22, _ = second_differences(spec, u)
-    residual = float(np.max(np.abs(d11 + eta_int[:, None] * d22)))
+    mx, my = factor.shape
+    step = max(1, _BLOCK_VALUES // (mx * my))
     bd = spec.boundary_mask()
-    margin = float(min(np.max(g_arr[bd]) - np.max(u), np.min(u) - np.min(g_arr[bd])))
-    report = SolveReport(
-        iterations=1,
-        final_residual=residual,
-        converged=bool(residual <= DEFAULT_SOLVER_TOL),
-        max_principle_margin=margin,
-        extras={"eps": float(eps), "alpha": float(alpha)},
-    )
-    return GridFunction(spec, u), report
+    for start in range(0, len(data), step):
+        g_arrs = [boundary_array(spec, g) for g in data[start : start + step]]
+        b = np.empty((mx, len(g_arrs), my))
+        for j, g_arr in enumerate(g_arrs):
+            b[:, j] = boundary_rhs(spec, g_arr, eta_int)
+        x = factor.solve(b)
+        for j, u in enumerate(g_arrs):
+            g_bd = u[bd]
+            u[1:-1, 1:-1] = x[:, j]
+            d11, d22, _ = second_differences(spec, u)
+            residual = float(np.max(np.abs(d11 + eta_int[:, None] * d22)))
+            margin = float(min(np.max(g_bd) - np.max(u), np.min(u) - np.min(g_bd)))
+            report = SolveReport(
+                iterations=1,
+                final_residual=residual,
+                converged=bool(residual <= DEFAULT_SOLVER_TOL),
+                max_principle_margin=margin,
+                extras={"eps": float(eps), "alpha": float(alpha)},
+            )
+            yield GridFunction(spec, u), report
 
 
 def section_node_mask(u: GridFunction, section: SectionSpec) -> np.ndarray:
@@ -204,7 +286,7 @@ def holder_estimate(
     denom = sup_norm(u, section_node_mask(u, outer))
     if denom == 0.0:
         return 0.0
-    pairs = section_sample_pairs(inner, n_pairs, np.random.default_rng(seed))
+    pairs = section_sample_pairs(inner, n_pairs, default_rng(seed))
     return holder_seminorm(u, gamma, pairs) / denom
 
 

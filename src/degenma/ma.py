@@ -68,7 +68,7 @@ def ma_solve_dirichlet(
 
     def poisson(rhs: np.ndarray) -> np.ndarray:
         # lap P = rhs with P = g on the boundary; the factored operator is -lap.
-        return lap.solve(bx - rhs.ravel())
+        return lap.solve(bx - rhs).ravel()
 
     u = np.array(g_arr)
     v = u[1:-1, 1:-1]

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,23 @@ def test_family_params_validation():
         an.FamilyParams(-1.0, 1.0)
     with pytest.raises(ValueError):
         an.FamilyParams(0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "a, b, ell",
+    [
+        (math.inf, 0.0, (0.0, 0.0, 0.0)),
+        (math.nan, 0.0, (0.0, 0.0, 0.0)),
+        (1.0, math.nan, (0.0, 0.0, 0.0)),
+        (1.0, -math.inf, (0.0, 0.0, 0.0)),
+        (1.0, 0.0, (math.nan, 0.0, 0.0)),
+        (1.0, 0.0, (0.0, 0.0, math.inf)),
+    ],
+)
+def test_family_params_reject_non_finite_numbers(a, b, ell):
+    # FamilyParams(1, inf, nan) used to be accepted, and family_eval gave nan
+    with pytest.raises(ValueError, match="finite"):
+        an.FamilyParams(1.0, a, b, ell)
 
 
 def family_hessian(params: an.FamilyParams, x1, x2):
@@ -244,6 +262,13 @@ def test_eta_eps_examples():
     assert an.eta_eps(spec, 0.3) == pytest.approx(0.09)
     mid = an.eta_eps(spec, 0.15)
     assert 0.01 <= mid <= 0.04
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.1])
+def test_regularizer_spec_rejects_bad_eps(eps):
+    # eta_eps(RegularizerSpec(1, inf), 0.3) used to warn and return inf
+    with pytest.raises(ValueError, match="eps must be > 0 and finite"):
+        an.RegularizerSpec(1.0, eps)
 
 
 @settings(max_examples=80, deadline=None)

@@ -136,15 +136,47 @@ def test_liouville_fit_writes_the_dual_with_its_own_header(tmp_path):
     assert len(lines) == 1 + 17 * 33  # the dual has the input's 17 x 33 nodes
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # only barrier-check needs brentq; it imports it when it runs
+def _fresh_interpreter(code):
+    """Last stdout line of `code` run in a new interpreter that imports this degenma."""
     src = str(Path(degenma.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, degenma.cli; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # only barrier-check needs brentq; it imports it when it runs
+    assert _fresh_interpreter("import sys, degenma.cli; print('scipy.optimize' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_no_scipy_module():
+    # both solvers are numpy-only; scipy's import alone is most of a CLI start
+    code = "import sys, degenma.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _fresh_interpreter(code) == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [(["harnack-scan"], "21, 41"), (["liouville-fit", "--save-fields"], "17, 33")],
+    ids=["harnack-scan", "liouville-fit"],
+)
+def test_cli_run_loads_no_numpy_or_extension_module_after_import(tmp_path, argv, sizes):
+    # numpy.fft, numpy.random and friends load with degenma.cli, so their
+    # import cost is start-up, not run time
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"grid_sizes = {sizes}\n")
+    argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = (
+        "import importlib.machinery, sys, degenma.cli\n"
+        "before = set(sys.modules)\n"
+        f"assert degenma.cli.main({argv!r}) == 0\n"
+        "ext = tuple(importlib.machinery.EXTENSION_SUFFIXES)\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'"
+        " or str(getattr(sys.modules[m], '__file__', '')).endswith(ext)))\n"
+    )
+    assert _fresh_interpreter(code) == "[]"
 
 
 def test_summary_json_contract(tmp_path):
@@ -216,10 +248,7 @@ def test_strictconvexity_demo_small_grid():
 
 
 def test_solver_failure_becomes_failing_verdict():
-    # strictconvexity-demo requires alpha > 0; the run must not raise
-    summary = run(make_config("strictconvexity-demo", alpha=-0.5))
-    assert summary.verdicts == {"completed": False}
-    assert "error" in summary.config_echo
+    # an error inside a runner is a failing `completed` verdict, not a raise:
     # doubling-check reads center, which only its registry entry sets
     summary = run(ExperimentConfig(experiment="doubling-check"))
     assert summary.verdicts == {"completed": False}
@@ -408,11 +437,20 @@ def test_cli_out_of_range_gamma_flag_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "experiment, alpha", [("convergence-grushin", "-2"), ("harnack-scan", "-1"), ("harnack-scan", "inf")]
+    "experiment, alpha",
+    [
+        ("convergence-grushin", "-2"),
+        ("harnack-scan", "-1"),
+        ("harnack-scan", "inf"),
+        # these two used to run and exit 1 with a failing `completed` verdict
+        ("strictconvexity-demo", "0"),
+        ("strictconvexity-demo", "-0.5"),
+    ],
 )
 def test_cli_out_of_range_alpha_flag_is_a_usage_error(tmp_path, capsys, experiment, alpha):
     assert cli.main([experiment, "--alpha", alpha, "--out", str(tmp_path / "out")]) == 2
-    assert "alpha must be > -1" in capsys.readouterr().err
+    needs = "alpha > 0" if experiment == "strictconvexity-demo" else "alpha must be > -1"
+    assert needs in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

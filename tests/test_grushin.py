@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dst
+from scipy.linalg.lapack import dpttrf, dpttrs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -228,7 +230,7 @@ def test_operator_and_boundary_rhs_match_the_stencil(nx, ny, width, height, seed
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(nx, ny))
     eta = rng.uniform(1e-3, 10.0, size=nx - 2)
-    lhs = assemble_operator(spec, eta) @ v[1:-1, 1:-1].ravel() - gs.boundary_rhs(spec, v, eta)
+    lhs = assemble_operator(spec, eta) @ v[1:-1, 1:-1].ravel() - gs.boundary_rhs(spec, v, eta).ravel()
     d11, d22, _ = gr.second_differences(spec, v)
     scale = np.max(np.abs(v)) * (1.0 / spec.hx**2 + np.max(eta) / spec.hy**2)
     np.testing.assert_allclose(lhs, -(d11 + eta[:, None] * d22).ravel(), rtol=0, atol=1e-13 * scale)
@@ -292,6 +294,86 @@ def test_separable_solve_matches_the_sparse_reference(nx, ny, width, height, alp
     x = gs._SeparableFactor(spec, eta).solve(b)
     ref = spla.spsolve(assemble_operator(spec, eta), b)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _lapack_reference_solve(spec, eta, b):
+    """The solve with scipy's DST-I and LAPACK's dpttrf/dpttrs on the k-major
+    stack of mode systems (coupling 0 between modes), for a flat x-major b."""
+    mx, my = spec.nx - 2, spec.ny - 2
+    lam = (2.0 - 2.0 * np.cos(np.arange(1, my + 1) * np.pi / (spec.ny - 1))) / spec.hy**2
+    off = np.full((my, mx), -1.0 / spec.hx**2)
+    off[:, -1] = 0.0
+    d, e, info = dpttrf((2.0 / spec.hx**2 + lam[:, None] * eta).ravel(), off.ravel()[: max(mx * my - 1, 1)])
+    assert info == 0
+    x, info = dpttrs(d, e, dst(b.reshape(mx, my), type=1, axis=1, norm="ortho").T.ravel())
+    assert info == 0
+    return dst(x.reshape(my, mx).T, type=1, axis=1, norm="ortho").ravel()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    nx=st.integers(3, 60),
+    ny=st.integers(3, 60),
+    width=st.floats(0.1, 10.0),
+    height=st.floats(0.1, 10.0),
+    alpha=st.none() | st.floats(-1.0, 20.0, exclude_min=True),
+    eps_frac=st.floats(0.01, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separable_solve_matches_scipy_dst_and_lapack(nx, ny, width, height, alpha, eps_frac, seed):
+    # the numpy rfft transform and row sweep against scipy's dst and dpttrs
+    spec = gr.GridSpec(-0.5 * width, 0.5 * width, 0.0, height, nx, ny)
+    assume(spec.hx != spec.hy)
+    if alpha is None:
+        eta = np.ones(nx - 2)
+    else:
+        eta = an.eta_eps(an.RegularizerSpec(alpha, eps_frac * width), spec.x_nodes()[1:-1])
+    b = np.random.default_rng(seed).normal(size=(nx - 2) * (ny - 2))
+    x = gs._SeparableFactor(spec, eta).solve(b)
+    ref = _lapack_reference_solve(spec, eta, b)
+    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(3, 40),
+    ny=st.integers(3, 40),
+    k=st.integers(1, 6),
+    pass_bits=st.integers(0, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_solve_is_bitwise_its_single_solves(nx, ny, k, pass_bits, seed):
+    # columns of a block, and transform passes of any size, share no arithmetic
+    spec = gr.GridSpec(-1.0, 1.0, 0.0, 1.3, nx, ny)
+    eta = an.eta_eps(an.RegularizerSpec(1.5, 0.2), spec.x_nodes()[1:-1])
+    b = np.random.default_rng(seed).normal(size=(nx - 2, k, ny - 2))
+    single = [gs._SeparableFactor(spec, eta).solve(b[:, j].ravel()) for j in range(k)]
+    default = gs._PASS_VALUES
+    try:
+        gs._PASS_VALUES = 1 << pass_bits
+        factor = gs._SeparableFactor(spec, eta)
+        block = factor.solve(b)
+        again = factor.solve(b)
+    finally:
+        gs._PASS_VALUES = default
+    assert block.shape == b.shape and block is not again
+    for j in range(k):
+        np.testing.assert_array_equal(block[:, j].ravel(), single[j])
+    np.testing.assert_array_equal(again, block)
+
+
+@pytest.mark.parametrize("block_values", [1, 300, 1 << 20])
+def test_solve_dirichlet_many_is_bitwise_solve_dirichlet(block_values, monkeypatch):
+    # one block or many, each result and report equals the single solve's
+    monkeypatch.setattr(gs, "_BLOCK_VALUES", block_values)
+    spec = gr.GridSpec(-1.0, 1.0, -1.0, 1.0, 17, 17)
+    coef = np.random.default_rng(7).normal(size=(5, 3))
+    many = list(gs.solve_dirichlet_many(spec, 2.0, [_smooth_data(c) for c in coef]))
+    assert len(many) == 5
+    for c, (u, rep) in zip(coef, many):
+        single, single_rep = gs.solve_dirichlet(spec, 2.0, _smooth_data(c))
+        np.testing.assert_array_equal(u.values, single.values)
+        assert rep == single_rep
 
 
 def test_separable_factor_rejects_an_indefinite_operator():
