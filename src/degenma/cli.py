@@ -6,7 +6,6 @@ Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import locale  # noqa: F401  argparse's gettext imports it on every parse; load it at start-up
 import sys
 
 from .experiments import EXPERIMENTS, make_config, run

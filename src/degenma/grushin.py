@@ -88,8 +88,9 @@ def boundary_rhs(spec: GridSpec, g_arr: np.ndarray, eta_interior: np.ndarray) ->
     return b
 
 
-# doubles of one transform pass: a solve transforms its block a few x1 rows at
-# a time, so the extension and spectrum buffers stay this small and in cache
+# doubles of one transform pass: the sine transform runs through an extension
+# buffer of about this many values, a few x1 rows at a time. The fastest size
+# measured; transforming a whole 20-seed block at once was 2x slower.
 _PASS_VALUES = 1 << 14
 
 
@@ -104,8 +105,7 @@ class _SeparableFactor:
     ``solve`` takes a block of k right-hand sides laid out (mx, k, my), in any
     shape with that memory order (one flat x-major vector is k = 1), and
     returns the solutions in a new array of the same shape. Each column of a
-    block is solved bitwise as it would be alone. ``solve`` works in buffers
-    the factor keeps, so one factor must not be used by two threads at once."""
+    block is solved bitwise as it would be alone."""
 
     def __init__(self, spec: GridSpec, eta_interior: np.ndarray):
         self.shape = mx, my = spec.nx - 2, spec.ny - 2
@@ -124,54 +124,39 @@ class _SeparableFactor:
         # rows shaped (1, my) like a k = 1 block's rows, which numpy handles fastest
         self.d = d[:, None, :]
         self.e = list(e[:, None, :])
-        self._k = 0
 
-    def _buffers(self, k: int):
-        """Extension, spectrum and sweep-row buffers for blocks of k, kept for the last k."""
-        if k != self._k:
-            mx, my = self.shape
-            rows = min(mx, max(1, _PASS_VALUES // (k * (my + 1))))
-            self._ext = np.zeros((rows, k, 2 * (my + 1)))
-            self._spectrum = np.empty((rows, k, my + 2), dtype=complex)
-            self._sweep = np.empty((2, k, my))
-            self._k = k
-        return self._ext, self._spectrum, self._sweep
-
-    def _dst(self, src: np.ndarray, out: np.ndarray, ext: np.ndarray, spectrum: np.ndarray) -> None:
-        """Orthonormal DST-I along the last axis, its own inverse: the rfft of
-        the odd extension [0, x, 0, -x reversed], read off as -Im."""
-        my = self.shape[1]
-        ext[..., 1 : my + 1] = src
-        np.negative(src, out=ext[..., : my + 1 : -1])
-        rfft(ext, norm="ortho", out=spectrum)
-        np.negative(spectrum.imag[..., 1 : my + 1], out=out)
+    @staticmethod
+    def _dst(src: np.ndarray, out: np.ndarray) -> None:
+        """Orthonormal DST-I along the last axis of an (mx, k, my) block into
+        ``out`` (which may be ``src``), its own inverse: the rfft of the odd
+        extension [0, x, 0, -x reversed], read off as -Im, a pass of rows at a time."""
+        mx, k, my = src.shape
+        step = min(mx, max(1, _PASS_VALUES // (k * (my + 1))))
+        ext = np.zeros((step, k, 2 * (my + 1)))
+        for lo in range(0, mx, step):
+            rows = src[lo : lo + step]
+            part = ext[: len(rows)]
+            part[..., 1 : my + 1] = rows
+            np.negative(rows, out=part[..., : my + 1 : -1])
+            np.negative(rfft(part, norm="ortho").imag[..., 1 : my + 1], out=out[lo : lo + step])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         mx, my = self.shape
         rhs = b.reshape(mx, -1, my)
         x = np.empty(rhs.shape)
-        ext, spectrum, (tmp, carry) = self._buffers(rhs.shape[1])
-        step, rows, d, e = len(ext), list(x), self.d, self.e
+        self._dst(rhs, x)
+        rows, d, e = list(x), self.d, self.e
+        tmp = np.empty(x.shape[1:])
         mul, sub = np.multiply, np.subtract
-        # dpttrs: forward x_i -= e_{i-1} x_{i-1}, divide by d, back x_i -= e_i x_{i+1},
-        # with the sine transform done a pass of rows at a time
-        for lo in range(0, mx, step):
-            hi = min(lo + step, mx)
-            self._dst(rhs[lo:hi], x[lo:hi], ext[: hi - lo], spectrum[: hi - lo])
-            for i in range(max(lo, 1), hi):
-                mul(rows[i - 1], e[i - 1], tmp)
-                sub(rows[i], tmp, rows[i])
-        for hi in range(mx, 0, -step):
-            lo = max(hi - step, 0)
-            x[lo:hi] /= d[lo:hi]
-            if hi < mx:  # row hi is transformed back already; carry keeps its modes
-                mul(carry, e[hi - 1], tmp)
-                sub(rows[hi - 1], tmp, rows[hi - 1])
-            for i in range(hi - 2, lo - 1, -1):
-                mul(rows[i + 1], e[i], tmp)
-                sub(rows[i], tmp, rows[i])
-            carry[...] = rows[lo]
-            self._dst(x[lo:hi], x[lo:hi], ext[: hi - lo], spectrum[: hi - lo])
+        # dpttrs: forward x_i -= e_{i-1} x_{i-1}, divide by d, back x_i -= e_i x_{i+1}
+        for i in range(1, mx):
+            mul(rows[i - 1], e[i - 1], tmp)
+            sub(rows[i], tmp, rows[i])
+        x /= d
+        for i in range(mx - 2, -1, -1):
+            mul(rows[i + 1], e[i], tmp)
+            sub(rows[i], tmp, rows[i])
+        self._dst(x, x)
         return x.reshape(b.shape)
 
 
