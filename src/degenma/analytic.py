@@ -438,6 +438,18 @@ def _ode_accel(alpha: float, w, wp):
     return (4.0 + (alpha + 2.0) ** 2 * wp * wp) / (alpha * (alpha + 2.0) * w)
 
 
+def _rk4_step(alpha: float, w, wp, dt):
+    """(w, w') after one classical 4-stage Runge-Kutta step of length dt."""
+    k1w, k1p = wp, _ode_accel(alpha, w, wp)
+    k2w = wp + 0.5 * dt * k1p
+    k2p = _ode_accel(alpha, w + 0.5 * dt * k1w, k2w)
+    k3w = wp + 0.5 * dt * k2p
+    k3p = _ode_accel(alpha, w + 0.5 * dt * k2w, k3w)
+    k4w = wp + dt * k3p
+    k4p = _ode_accel(alpha, w + dt * k3w, k4w)
+    return w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w), wp + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+
+
 _ODE_T_MAX = 0.5
 _ODE_STEP = 1e-3
 
@@ -459,12 +471,7 @@ def ode_integrate(alpha: float) -> OdeTrajectory:
         if _ode_accel(alpha, w, wp) * step > 1e3:  # blow-up guard
             truncated = True
             break
-        k1w, k1p = wp, _ode_accel(alpha, w, wp)
-        k2w, k2p = wp + 0.5 * step * k1p, _ode_accel(alpha, w + 0.5 * step * k1w, wp + 0.5 * step * k1p)
-        k3w, k3p = wp + 0.5 * step * k2p, _ode_accel(alpha, w + 0.5 * step * k2w, wp + 0.5 * step * k2p)
-        k4w, k4p = wp + step * k3p, _ode_accel(alpha, w + step * k3w, wp + step * k3p)
-        w = w + step / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        wp = wp + step / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        w, wp = _rk4_step(alpha, w, wp, step)
         if w <= 0:
             truncated = True
             break
@@ -482,15 +489,7 @@ def _ode_dense_w(traj: OdeTrajectory, t) -> np.ndarray:
         raise ValueError("evaluation time outside the integrated window")
     idx = np.clip(np.searchsorted(traj.t, t, side="right") - 1, 0, len(traj.t) - 1)
     dt = t - traj.t[idx]
-    w, wp = traj.w[idx], traj.wp[idx]
-    al = traj.alpha
-    k1w, k1p = wp, _ode_accel(al, w, wp)
-    k2w = wp + 0.5 * dt * k1p
-    k2p = _ode_accel(al, w + 0.5 * dt * k1w, k2w)
-    k3w = wp + 0.5 * dt * k2p
-    k3p = _ode_accel(al, w + 0.5 * dt * k2w, k3w)
-    k4w = wp + dt * k3p
-    return w + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    return _rk4_step(traj.alpha, traj.w[idx], traj.wp[idx], dt)[0]
 
 
 def ode_solution_eval(traj: OdeTrajectory, x1, x2):

@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--out", help="output directory for metrics.csv and summary.json")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--alpha", type=float, help="override the config alpha: finite and > -1 (> 0 for strictconvexity-demo)")
+    parser.add_argument("--alpha", type=float, help="override the config alpha: finite and > -1 (> 0 for "
+                        "strictconvexity-demo, >= 1.1063 for holder-scan at its default domain)")
     parser.add_argument("--gamma", type=float, help="override the Holder exponent")
     parser.add_argument("--save-fields", action="store_true", help="also write per-grid field CSVs")
     return parser

@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+# height of the origin-centred section of phi that each of these experiments
+# masks on its grid (holder-scan's outer one); the config checks that it fits
+_SECTION_HEIGHT = {"harnack-scan": 1.0, "holder-scan": 2.0, "strictconvexity-demo": 0.05}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -97,6 +102,14 @@ class ExperimentConfig:
                 raise ValueError(message)
         for nx in self.grid_sizes:
             self.grid(nx)
+        if self.experiment in _SECTION_HEIGHT:
+            section = an.SectionSpec(self.alpha, (0.0, 0.0), _SECTION_HEIGHT[self.experiment])
+            if not gs._section_fits(section, self.domain):
+                box = ", ".join(f"{v:.6g}" for v in an.section_bbox(section))
+                raise ValueError(
+                    f"the section of height {section.height:g} spans ({box}), outside domain {self.domain};"
+                    " holder-scan's outer section fits its default domain for alpha >= 1.1063"
+                )
 
     def grid(self, nx: int) -> gr.GridSpec:
         x_lo, x_hi, y_lo, y_hi = self.domain
@@ -344,12 +357,12 @@ def _seeded_solves(cfg: ExperimentConfig):
     data = [random_positive_boundary(default_rng(seed), cfg.domain) for seed in seeds]
     for nx in cfg.grid_sizes:
         spec = cfg.grid(nx)
-        for seed, (u, _) in zip(seeds, gs.solve_dirichlet_many(spec, cfg.alpha, data)):
+        for seed, u in zip(seeds, gs.solve_dirichlet_many(spec, cfg.alpha, data)):
             yield nx, spec, seed, u
 
 
 def _run_harnack_scan(cfg: ExperimentConfig):
-    section = an.SectionSpec(cfg.alpha, (0.0, 0.0), 1.0)
+    section = an.SectionSpec(cfg.alpha, (0.0, 0.0), _SECTION_HEIGHT["harnack-scan"])
     rows = []
     for nx, spec, seed, u in _seeded_solves(cfg):
         rep = gs.harnack_quotient(u, section)
@@ -366,7 +379,7 @@ def _run_harnack_scan(cfg: ExperimentConfig):
 
 def _run_holder_scan(cfg: ExperimentConfig):
     inner = an.SectionSpec(cfg.alpha, (0.0, 0.0), 1.0)
-    outer = an.SectionSpec(cfg.alpha, (0.0, 0.0), 2.0)
+    outer = an.SectionSpec(cfg.alpha, (0.0, 0.0), _SECTION_HEIGHT["holder-scan"])
     rows = []
     for nx, spec, seed, u in _seeded_solves(cfg):
         # same pair seed across grids: stability reflects solution refinement
@@ -423,17 +436,14 @@ def _run_doubling_check(cfg: ExperimentConfig):
     return rows, verdicts
 
 
-_SECTION_TAU = 0.05
-
-
 def _run_strictconvexity_demo(cfg: ExperimentConfig):
-    rows = []
+    rows, tau = [], _SECTION_HEIGHT["strictconvexity-demo"]
     spec = cfg.grid(cfg.grid_sizes[-1])
     u, rep = mam.ma_solve_dirichlet(
         spec, cfg.alpha, lambda X, Y: 0.0 * X, tol=cfg.fp_tolerance, max_iterations=cfg.max_iterations
     )
     v = gr.GridFunction(spec, u.values - np.min(u.values))
-    section = an.SectionSpec(cfg.alpha, (0.0, 0.0), _SECTION_TAU)
+    section = an.SectionSpec(cfg.alpha, (0.0, 0.0), tau)
     inside = gs.section_node_mask(v, section)
     neighbor_inside = (
         np.roll(inside, 1, 0) | np.roll(inside, -1, 0) | np.roll(inside, 1, 1) | np.roll(inside, -1, 1)
@@ -446,7 +456,7 @@ def _run_strictconvexity_demo(cfg: ExperimentConfig):
     # alone underestimates max u on the boundary by O(h) |grad u|
     closed_ring = ring | (~inside & neighbor_inside)
     ring_max = float(np.max(v.values[closed_ring]))
-    comparison = mam.comparison_check(v, cfg.alpha, _SECTION_TAU, ring_max)
+    comparison = mam.comparison_check(v, cfg.alpha, tau, ring_max)
     rows.append({"part": "ma", "metric": "ring_min_gap", "value": ring_min})
     rows.append({"part": "ma", "metric": "ring_max", "value": ring_max})
     rows.append({"part": "ma", "metric": "comparison_ok", "value": float(comparison)})

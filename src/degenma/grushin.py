@@ -160,22 +160,23 @@ class _SeparableFactor:
         return x.reshape(b.shape)
 
 
-@functools.lru_cache(maxsize=1)
-def _factor(spec: GridSpec, alpha: float, eps: float):
-    """eta_eps on the interior x1 nodes and the separable factor of the
-    operator for them. One entry is kept: repeated solves on one operator
-    (a scan over seeds on one grid) factor it once."""
-    eta_int = np.asarray(eta_eps(RegularizerSpec(alpha, eps), spec.x_nodes()[1:-1]), dtype=float)
-    eta_int.setflags(write=False)
-    return eta_int, _SeparableFactor(spec, eta_int)
+def _eta_interior(spec: GridSpec, alpha: float, eps: float) -> np.ndarray:
+    """eta_eps on the interior x1 nodes."""
+    return eta_eps(RegularizerSpec(float(alpha), float(eps)), spec.x_nodes()[1:-1])
 
 
 def solve_dirichlet(spec: GridSpec, alpha: float, g, eps: float | None = None) -> tuple[GridFunction, SolveReport]:
     """Solve the five-point scheme for u_11 + eta_eps(x1) u_22 = 0 with u = g
     on the boundary nodes. ``eps`` defaults to 2 hx, tying the regularization
-    plateau to what the grid can resolve. The factor of the operator is cached
-    for the last (spec, alpha, eps)."""
-    return next(solve_dirichlet_many(spec, alpha, [g], eps))
+    plateau to what the grid can resolve."""
+    eps = 2.0 * spec.hx if eps is None else eps
+    (u,) = solve_dirichlet_many(spec, alpha, [g], eps)
+    v, g_bd = u.values, u.values[spec.boundary_mask()]
+    d11, d22, _ = second_differences(spec, v)
+    residual = float(np.max(np.abs(d11 + _eta_interior(spec, alpha, eps)[:, None] * d22)))
+    converged = bool(residual <= DEFAULT_SOLVER_TOL)
+    margin = float(min(np.max(g_bd) - np.max(v), np.min(v) - np.min(g_bd)))
+    return u, SolveReport(1, residual, converged, margin, {"eps": float(eps), "alpha": float(alpha)})
 
 
 # interior values of one block solve (8 MiB of doubles): the 20 seeds of the
@@ -184,15 +185,13 @@ _BLOCK_VALUES = 1 << 20
 
 
 def solve_dirichlet_many(spec: GridSpec, alpha: float, data, eps: float | None = None):
-    """Yield :func:`solve_dirichlet`'s (u, report) for each boundary callable
-    in the sequence ``data``, in order. They are solved in blocks on one
-    factor; each result is bitwise the single solve's."""
-    if eps is None:
-        eps = 2.0 * spec.hx
-    eta_int, factor = _factor(spec, float(alpha), float(eps))
+    """Yield :func:`solve_dirichlet`'s solution u (a GridFunction, no report)
+    for each boundary callable in the sequence ``data``, in order. They are
+    solved in blocks on one factor per call; each u is bitwise the single solve's."""
+    eta_int = _eta_interior(spec, alpha, 2.0 * spec.hx if eps is None else eps)
+    factor = _SeparableFactor(spec, eta_int)
     mx, my = factor.shape
     step = max(1, _BLOCK_VALUES // (mx * my))
-    bd = spec.boundary_mask()
     for start in range(0, len(data), step):
         g_arrs = [boundary_array(spec, g) for g in data[start : start + step]]
         b = np.empty((mx, len(g_arrs), my))
@@ -200,19 +199,8 @@ def solve_dirichlet_many(spec: GridSpec, alpha: float, data, eps: float | None =
             b[:, j] = boundary_rhs(spec, g_arr, eta_int)
         x = factor.solve(b)
         for j, u in enumerate(g_arrs):
-            g_bd = u[bd]
             u[1:-1, 1:-1] = x[:, j]
-            d11, d22, _ = second_differences(spec, u)
-            residual = float(np.max(np.abs(d11 + eta_int[:, None] * d22)))
-            margin = float(min(np.max(g_bd) - np.max(u), np.min(u) - np.min(g_bd)))
-            report = SolveReport(
-                iterations=1,
-                final_residual=residual,
-                converged=bool(residual <= DEFAULT_SOLVER_TOL),
-                max_principle_margin=margin,
-                extras={"eps": float(eps), "alpha": float(alpha)},
-            )
-            yield GridFunction(spec, u), report
+            yield GridFunction(spec, u)
 
 
 def section_node_mask(u: GridFunction, section: SectionSpec) -> np.ndarray:
@@ -222,17 +210,16 @@ def section_node_mask(u: GridFunction, section: SectionSpec) -> np.ndarray:
     return _node_mask(u.spec, section)
 
 
+def _section_fits(section: SectionSpec, rect) -> bool:
+    """Whether the section's box lies in rect = (x_lo, x_hi, y_lo, y_hi), up to 1e-9."""
+    (x_lo, x_hi, y_lo, y_hi), (r_x_lo, r_x_hi, r_y_lo, r_y_hi) = section_bbox(section), rect
+    return min(x_lo - r_x_lo, r_x_hi - x_hi, y_lo - r_y_lo, r_y_hi - y_hi) >= -1e-9
+
+
 # lru_cache keeps no exception: an out-of-grid section raises on every call
 @functools.lru_cache(maxsize=8)
 def _node_mask(s: GridSpec, section: SectionSpec) -> np.ndarray:
-    x_lo, x_hi, y_lo, y_hi = section_bbox(section)
-    slack = 1e-9
-    if (
-        x_lo < s.x_lo - slack
-        or x_hi > s.x_hi + slack
-        or y_lo < s.y_lo - slack
-        or y_hi > s.y_hi + slack
-    ):
+    if not _section_fits(section, (s.x_lo, s.x_hi, s.y_lo, s.y_hi)):
         raise ValueError("section is not contained in the grid")
     X1, X2 = s.meshgrid()
     mask = section_contains(section, X1, X2)
@@ -265,8 +252,7 @@ def holder_estimate(
     outer section); returns 0 for u identically zero on the outer section."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    ib, ob = section_bbox(inner), section_bbox(outer)
-    if not (ib[0] >= ob[0] and ib[1] <= ob[1] and ib[2] >= ob[2] and ib[3] <= ob[3]):
+    if not _section_fits(inner, section_bbox(outer)):
         raise ValueError("inner section must sit inside the outer section")
     denom = sup_norm(u, section_node_mask(u, outer))
     if denom == 0.0:
@@ -293,7 +279,7 @@ def derivative_bound_scan(spec: GridSpec, alpha: float, g) -> list[tuple[float, 
     inner = ((np.abs(X1 - xc) <= qx) & (np.abs(X2 - yc) <= qy))[:, 1:-1]
     rows = []
     for eps in _EPS_LIST:
-        u, _ = solve_dirichlet(spec, alpha, g, eps=eps)
+        (u,) = solve_dirichlet_many(spec, alpha, [g], eps)
         d2 = first_difference_x2(spec, u.values)
         ratio = 0.0 if sup_g == 0.0 else float(np.max(np.abs(d2[inner]))) / sup_g
         rows.append((eps, ratio))

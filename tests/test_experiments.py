@@ -146,11 +146,6 @@ def _fresh_interpreter(code):
     return proc.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # only barrier-check needs brentq; it imports it when it runs
-    assert _fresh_interpreter("import sys, degenma.cli; print('scipy.optimize' in sys.modules)") == "False"
-
-
 def test_cli_import_loads_no_scipy_module():
     # both solvers are numpy-only; scipy's import alone is most of a CLI start
     code = "import sys, degenma.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -321,7 +316,7 @@ def test_seeded_scan_samples_the_offset_points_and_bisects_once():
 
 
 def test_warm_caches_write_the_same_metrics(tmp_path):
-    for cached in (ex._ring_trig, an._section_bbox, gs._node_mask, gs._factor):
+    for cached in (ex._ring_trig, an._section_bbox, gs._node_mask):
         cached.cache_clear()
     digests = []
     for name in ("cold", "warm"):
@@ -340,6 +335,14 @@ def test_cli_exit_codes(tmp_path):
         cli.main([])
     assert exc.value.code == 2
     assert cli.main(["barrier-check", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+# the section each of these experiments masks on its grid does not fit the domain
+_SECTION_MISFITS = (
+    ("harnack-scan", "domain = -0.5, 0.5, -0.5, 0.5"),
+    ("holder-scan", "alpha = 1"),
+    ("strictconvexity-demo", "domain = -0.1, 0.1, -0.1, 0.1"),
+)
 
 
 @pytest.mark.parametrize(
@@ -389,7 +392,8 @@ def test_cli_exit_codes(tmp_path):
     ]
     + [pytest.param("convergence-grushin", "grid_sizes = 2", id="convergence-grushin: grid_sizes = 2")]
     # doubling-check's default off-centre point (0.35, 0.1) is outside this domain
-    + [pytest.param("doubling-check", "domain = -0.2, 0.2, -0.2, 0.2", id="doubling-check: domain = -0.2, 0.2, -0.2, 0.2")],
+    + [pytest.param("doubling-check", "domain = -0.2, 0.2, -0.2, 0.2", id="doubling-check: domain = -0.2, 0.2, -0.2, 0.2")]
+    + [pytest.param(experiment, line, id=f"{experiment}: {line}") for experiment, line in _SECTION_MISFITS],
 )
 def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, experiment, line):
     path = tmp_path / "bad.cfg"
@@ -399,6 +403,8 @@ def test_cli_bad_config_is_a_usage_error(tmp_path, capsys, experiment, line):
     assert "degenma: error:" in err
     if experiment == "doubling-check":
         assert "center (0.35, 0.1) must be two values inside domain (-0.2, 0.2, -0.2, 0.2)" in err
+    if (experiment, line) in _SECTION_MISFITS:
+        assert "spans (" in err and "outside domain" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -445,13 +451,28 @@ def test_cli_out_of_range_gamma_flag_is_a_usage_error(tmp_path, capsys):
         # these two used to run and exit 1 with a failing `completed` verdict
         ("strictconvexity-demo", "0"),
         ("strictconvexity-demo", "-0.5"),
+        # so did these: the outer section of height 2 is wider than the domain
+        ("holder-scan", "1"),
+        ("holder-scan", "0.5"),
+        ("holder-scan", "-0.5"),
     ],
 )
 def test_cli_out_of_range_alpha_flag_is_a_usage_error(tmp_path, capsys, experiment, alpha):
     assert cli.main([experiment, "--alpha", alpha, "--out", str(tmp_path / "out")]) == 2
-    needs = "alpha > 0" if experiment == "strictconvexity-demo" else "alpha must be > -1"
+    needs = {
+        "strictconvexity-demo": "alpha > 0",
+        "holder-scan": "outside domain (-1.25, 1.25, -1.5, 1.5); holder-scan's outer section fits its default"
+        " domain for alpha >= 1.1063",
+    }.get(experiment, "alpha must be > -1")
     assert needs in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_holder_scan_alpha_range_at_its_default_domain():
+    # the bound the message and --help state: ln 2 / ln 1.25 - 2 = 1.10628...
+    make_config("holder-scan", alpha=1.1063)
+    with pytest.raises(ValueError, match="alpha >= 1.1063"):
+        make_config("holder-scan", alpha=1.1062)
 
 
 def test_cli_unset_center_is_not_checked(tmp_path):
